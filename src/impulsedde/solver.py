@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import ImpulsiveProblem, as_state, validate
 from .semigroup import apply_stack, propagator_stack
-from .trajectory import HistorySegment, PiecewiseTrajectory
+from .trajectory import PiecewiseTrajectory, _StateView, _Window
 
 __all__ = [
     "Discretization",
@@ -71,16 +71,17 @@ class SolveReport:
 
 
 class ConvergenceError(RuntimeError):
-    """Picard iteration failed to contract within the allotted iterations."""
+    """Picard iteration failed to contract within the allotted iterations, or
+    the solve produced a non-finite value (`reason` then says which)."""
 
-    def __init__(self, segment_index: int, iterations: int, last_gap: float):
+    def __init__(self, segment_index: int, iterations: int, last_gap: float, reason=None):
         self.segment_index = segment_index
         self.iterations = iterations
         self.last_gap = last_gap
-        super().__init__(
+        super().__init__(reason or (
             f"segment {segment_index}: no convergence after {iterations} iterations "
             f"(last successive gap {last_gap:.3e})"
-        )
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -140,93 +141,6 @@ class _KernelU:
                 return self._loop(ts, s, seg)
             self._mode = "batch"
         return arr
-
-
-# ---------------------------------------------------------------------------
-# combined state view (history + main nodes, impulse times duplicated)
-
-class _StateView:
-    """Left-continuous evaluation over history plus main node arrays.
-
-    main_times may contain each impulse time twice: first occurrence carries
-    the pre-jump value, second the post-jump value. Exact queries resolve to
-    the first occurrence (left limit); interior queries interpolate from the
-    nearest enclosing pair, which lands on the post-jump branch just past a
-    jump.
-    """
-
-    def __init__(self, dimension, delay, hist_times, hist_values, main_times, main_values):
-        self.n = dimension
-        self.delay = delay
-        self.ht = hist_times
-        self.hv = hist_values
-        self.mt = main_times
-        self.mv = main_values
-
-    def eval_left(self, t: float) -> np.ndarray:
-        if t <= 0.0:
-            return self._interp(self.ht, self.hv, t, side="left")
-        return self._interp(self.mt, self.mv, t, side="left")
-
-    def eval_right(self, t: float) -> np.ndarray:
-        if t < 0.0:
-            return self._interp(self.ht, self.hv, t, side="left")
-        if len(self.mt) == 0:
-            return self.hv[-1]
-        return self._interp(self.mt, self.mv, t, side="right")
-
-    @staticmethod
-    def _interp(grid, vals, t, side):
-        if side == "left":
-            i = np.searchsorted(grid, t, side="left")
-            if i < len(grid) and grid[i] == t:
-                return vals[i]
-            i -= 1
-        else:
-            i = np.searchsorted(grid, t, side="right") - 1
-            if i >= 0 and grid[i] == t:
-                return vals[i]
-        if i < 0:
-            return vals[0]
-        if i + 1 >= len(grid):
-            return vals[-1]
-        frac = (t - grid[i]) / (grid[i + 1] - grid[i])
-        return vals[i] + frac * (vals[i + 1] - vals[i])
-
-    def segment_at(self, t: float, end_value=None) -> HistorySegment:
-        """w_t sampled on the native nodes of [t - r, t].
-
-        end_value overrides the sample at theta = 0 (used for one-sided reads
-        at impulse times).
-        """
-        r = self.delay
-        lo = t - r
-        ih0 = np.searchsorted(self.ht, lo, side="right")
-        ih1 = np.searchsorted(self.ht, t, side="left")
-        im0 = np.searchsorted(self.mt, lo, side="right")
-        im1 = np.searchsorted(self.mt, t, side="left")
-        times = np.concatenate([self.ht[ih0:ih1], self.mt[im0:im1]])
-        values = np.concatenate([self.hv[ih0:ih1], self.mv[im0:im1]])
-        if len(times) > 1:
-            keep = np.empty(len(times), dtype=bool)
-            keep[0] = True
-            np.greater(times[1:], times[:-1], out=keep[1:])
-            if not keep.all():
-                times = times[keep]
-                values = values[keep]
-        lo_val = self.eval_left(lo) if lo > -r else self.hv[0]
-        hi_val = self.eval_left(t) if end_value is None else np.asarray(end_value, dtype=float)
-        inner = times - t
-        # a node one ulp inside the window can round onto an endpoint
-        mask = (inner > -r) & (inner < 0.0)
-        thetas = np.concatenate([[-r], inner[mask], [0.0]])
-        vals = np.concatenate([lo_val[None, :], values[mask], hi_val[None, :]])
-        return HistorySegment(thetas, vals)
-
-
-def _view_from_trajectory(traj: PiecewiseTrajectory) -> _StateView:
-    ht, hv = traj.blocks[0]
-    return _StateView(traj.dimension, traj.delay, ht, hv, traj.main_times, traj.main_values)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +212,16 @@ def _integrate_G(problem: ImpulsiveProblem, view: _StateView, k: int) -> np.ndar
     n = problem.dimension
     if hi == lo:
         return np.zeros(n)
-    i0 = np.searchsorted(view.mt, lo, side="right")
-    i1 = np.searchsorted(view.mt, hi, side="left")
-    times = np.concatenate([[lo], view.mt[i0:i1], [hi]])
+    i0 = np.searchsorted(view.times, lo, side="right")
+    i1 = np.searchsorted(view.times, hi, side="left")
+    times = np.concatenate([[lo], view.times[i0:i1], [hi]])
     imp = problem.impulse_times
     vals = np.empty((len(times), n))
-    for i, s in enumerate(times):
+    for i, s in enumerate(times.tolist()):
         # at an exact impulse time the integrand's one-sided value is the right limit
         on_jump = bool(np.any(imp == s)) and s < hi
         end = view.eval_right(s) if on_jump else None
-        seg = view.segment_at(float(s), end_value=end)
-        vals[i] = as_state(problem.G(float(s), seg), n)
+        vals[i] = as_state(problem.G(s, _Window(view, s, end)), n)
     return np.trapezoid(vals, times, axis=0)
 
 
@@ -318,7 +231,7 @@ def window_integral(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, k: int
     lo, hi = problem.jump_window(k)
     if traj.coverage_end < hi - 1e-12:
         raise ValueError(f"trajectory covers only up to {traj.coverage_end}, window needs {hi}")
-    return _integrate_G(problem, _view_from_trajectory(traj), k)
+    return _integrate_G(problem, traj._view, k)
 
 
 def jump_value(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, k: int) -> np.ndarray:
@@ -334,11 +247,11 @@ def volterra_term(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, t: float
     n = problem.dimension
     if t == 0.0:
         return np.zeros(n)
-    view = _view_from_trajectory(traj)
-    i1 = np.searchsorted(view.mt, t, side="left")
-    times = np.concatenate([view.mt[:i1], [t]])
-    values = np.concatenate([view.mv[:i1], [view.eval_left(t)]])
-    segs = [view.segment_at(float(s), end_value=values[i]) for i, s in enumerate(times)]
+    view = traj._view
+    i1 = np.searchsorted(traj.main_times, t, side="left")
+    times = np.concatenate([traj.main_times[:i1], [t]])
+    values = np.concatenate([traj.main_values[:i1], [view.eval_left(t)]])
+    segs = [_Window(view, s, end) for s, end in zip(times.tolist(), values)]
     kernel = _KernelU(problem)
     return _volterra_rect(kernel, np.array([t]), times, segs, n)[0]
 
@@ -385,21 +298,18 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     pre_t, pre_v = prefix.main_times, prefix.main_values
     kernel = _KernelU(problem)
 
-    def make_view(seg_vals):
-        return _StateView(n, problem.delay,
-                          ht, hv,
-                          np.concatenate([pre_t, times]),
-                          np.concatenate([pre_v, seg_vals], axis=0))
+    times_list = times.tolist()
 
-    def make_segs(view, seg_vals):
+    def make_segs(seg_vals):
         # the stored node value is the correct one-sided sample at theta = 0
         # (post-jump at a segment start, interior values elsewhere)
-        return [view.segment_at(float(s), end_value=seg_vals[i]) for i, s in enumerate(times)]
+        view = _StateView(problem.delay, np.concatenate([ht, pre_t, times]),
+                          np.concatenate([hv, pre_v, seg_vals], axis=0))
+        return [_Window(view, s, end) for s, end in zip(times_list, seg_vals)]
 
     # the prefix part of the inner integral is iterate-independent
     if len(pre_t):
-        pre_view = _StateView(n, problem.delay, ht, hv, pre_t, pre_v)
-        pre_segs = [pre_view.segment_at(float(s), end_value=pre_v[i]) for i, s in enumerate(pre_t)]
+        pre_segs = [_Window(prefix._view, s, end) for s, end in zip(pre_t.tolist(), pre_v)]
         z_rect = _volterra_rect(kernel, times, pre_t, pre_segs, n)
     else:
         z_rect = np.zeros((T, n))
@@ -415,14 +325,17 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     gap = np.inf
     iterations = 0
     for iterations in range(1, control.max_iterations + 1):
-        view = make_view(values)
-        segs = make_segs(view, values)
+        segs = make_segs(values)
         z = z_rect + _volterra_tri(kernel, times, segs, n)
         v = np.empty((T, n))
         for i in range(T):
             v[i] = as_state(problem.V(float(times[i]), segs[i], z[i]), n)
         new = apply_stack(fwd, w_plus[None, :] + _cumtrap(times, apply_stack(bwd, v)))
         gap = float(np.max(np.abs(new - values)))
+        if not math.isfinite(gap):
+            # a NaN gap would fail every comparison below and run on silently
+            raise ConvergenceError(k, iterations, gap, f"segment {k}: non-finite iterate "
+                                   f"in sweep {iterations} (successive gap {gap})")
         values = new
         floor = 1e-13 * (1.0 + float(np.max(np.abs(values))))
         if gap <= max(1e-3 * tol, floor):
@@ -475,6 +388,8 @@ def solve_mild(problem: ImpulsiveProblem,
 
     traj = PiecewiseTrajectory(n, r, b, problem.impulse_times, tuple(blocks), right_limits)
     residual = mild_residual(problem, traj, disc)
+    if not math.isfinite(residual):
+        raise ConvergenceError(m, iterations[-1], residual, f"mild residual {residual} is not finite")
     report = SolveReport(tuple(iterations), residual, tuple(jumps))
     return traj, report
 
@@ -519,8 +434,9 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory,
     native = np.concatenate(natives)
 
     ht, hv = traj.blocks[0]
-    view = _StateView(n, problem.delay, ht, hv, sigma, w_ref)
-    segs = [view.segment_at(float(s), end_value=w_ref[i]) for i, s in enumerate(sigma)]
+    view = _StateView(problem.delay, np.concatenate([ht, sigma]),
+                      np.concatenate([hv, w_ref], axis=0))
+    segs = [_Window(view, s, end) for s, end in zip(sigma.tolist(), w_ref)]
     kernel = _KernelU(problem)
     z = _volterra_tri(kernel, sigma, segs, n)
     v = np.empty((len(sigma), n))

@@ -7,6 +7,7 @@ separately and doubles as the first node of the following block.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,6 +61,8 @@ class HistorySegment:
     """Sampled delayed state: theta -> w(t + theta) for theta in [-r, 0].
 
     Evaluation between samples is linear; the sample grid runs from -r to 0.
+    The solver hands kernels `_Window`s, which read a trajectory's node
+    arrays in place and build `theta_grid` and `values` only when asked.
     """
 
     theta_grid: np.ndarray
@@ -111,6 +114,122 @@ class HistorySegment:
     def sup_norm(self) -> float:
         """Sup norm over the samples (the C([-r,0]) norm on this grid)."""
         return float(np.max(np.abs(self.values)))
+
+
+class _StateView:
+    """Left-continuous evaluation over one array of history then main nodes.
+
+    `times` is the history grid followed by the main nodes, so t = 0 appears
+    twice and each impulse time t_k may appear twice: first with the pre-jump
+    value, then with the post-jump value. Exact left reads resolve to the first
+    occurrence and exact right reads to the last; interior reads interpolate
+    from the nearest enclosing pair, which lands on the post-jump branch just
+    past a jump. Delayed-state windows sample the nodes with each repeated time
+    resolved to its first (pre-jump) value.
+    """
+
+    def __init__(self, delay: float, times: np.ndarray, values: np.ndarray):
+        self.delay = delay
+        self.times = times
+        self.values = values
+        self._time_list = times.tolist()
+        keep = np.empty(len(times), dtype=bool)
+        keep[0] = True
+        np.greater(times[1:], times[:-1], out=keep[1:])
+        self.node_times = times[keep]
+        self.node_values = values[keep]
+        self.node_list = self.node_times.tolist()
+
+    def eval_left(self, t: float) -> np.ndarray:
+        i = bisect_left(self._time_list, t)
+        if i < len(self._time_list) and self._time_list[i] == t:
+            return self.values[i]
+        return self._between(i - 1, t)
+
+    def eval_right(self, t: float) -> np.ndarray:
+        i = bisect_right(self._time_list, t) - 1
+        if i >= 0 and self._time_list[i] == t:
+            return self.values[i]
+        return self._between(i, t)
+
+    def _between(self, i: int, t: float) -> np.ndarray:
+        """Linear value at t from the pair (i, i + 1), clamped to the end nodes."""
+        grid, vals = self._time_list, self.values
+        if i < 0:
+            return vals[0]
+        if i + 1 >= len(grid):
+            return vals[-1]
+        frac = (t - grid[i]) / (grid[i + 1] - grid[i])
+        return vals[i] + frac * (vals[i + 1] - vals[i])
+
+
+class _Window(HistorySegment):
+    """w_t read from a view's shared node arrays instead of a copied sample grid.
+
+    The sample grid it stands for is theta = -r (value w((t - r)^-)), every
+    view node strictly inside the window, and theta = 0 (value `end_value`,
+    or w(t^-) when it is None). Scalar reads bracket and interpolate exactly
+    as `HistorySegment.__call__` would on that grid; `theta_grid`, `values`
+    and every other read build the grid on first use and keep it.
+    """
+
+    def __init__(self, view: _StateView, t: float, end_value=None):
+        nodes, r = view.node_list, view.delay
+        j0 = bisect_right(nodes, t - r)
+        j1 = bisect_left(nodes, t, j0)
+        # a node one ulp inside the window can round onto theta = -r
+        while j0 < j1 and nodes[j0] - t <= -r:
+            j0 += 1
+        # the window's nodes are node_list[j0:j1]
+        vars(self).update(_view=view, _t=t, _end_value=end_value, _j0=j0, _j1=j1)
+
+    def __getattr__(self, name):
+        # the end samples and the sample grid are built on first use and kept
+        # in the instance dict, where later lookups find them directly
+        if name not in ("_low", "_high", "theta_grid", "values"):
+            raise AttributeError(name)
+        view, t = self._view, self._t
+        if name == "_low":
+            value = view.eval_left(t - view.delay)
+        elif name == "_high":
+            end = self._end_value
+            value = view.eval_left(t) if end is None else np.asarray(end, dtype=float)
+        else:
+            j0, j1 = self._j0, self._j1
+            thetas = np.concatenate(([-view.delay], view.node_times[j0:j1] - t, [0.0]))
+            values = np.concatenate((self._low[None, :], view.node_values[j0:j1],
+                                     self._high[None, :]))
+            HistorySegment.__init__(self, thetas, values)
+            return vars(self)[name]
+        vars(self)[name] = value
+        return value
+
+    def __call__(self, theta):
+        if type(theta) is not float:
+            if np.ndim(theta) != 0:
+                return HistorySegment.__call__(self, theta)
+            theta = float(theta)
+        view, t = self._view, self._t
+        r = view.delay
+        pad = _EDGE_TOL * (1.0 + r)
+        if theta < -r - pad or theta > pad:
+            raise ValueError(f"theta={theta} outside [{-r}, 0]")
+        if theta < -r:
+            return self._low.copy()
+        if not theta < 0.0:  # NaN too, as in HistorySegment.__call__
+            return self._high.copy()
+        nodes, vals, j0, j1 = view.node_list, view.node_values, self._j0, self._j1
+        # last sample at or below theta; j = j0 - 1 is the theta = -r sample.
+        # t + theta is rounded, so the bracket is settled in theta-space.
+        j = bisect_right(nodes, t + theta, j0, j1) - 1
+        while j + 1 < j1 and nodes[j + 1] - t <= theta:
+            j += 1
+        while j >= j0 and nodes[j] - t > theta:
+            j -= 1
+        ga, va = (-r, self._low) if j < j0 else (nodes[j] - t, vals[j])
+        gb, vb = (nodes[j + 1] - t, vals[j + 1]) if j + 1 < j1 else (0.0, self._high)
+        frac = (theta - ga) / (gb - ga)
+        return va + frac * (vb - va)
 
 
 @dataclass(frozen=True)
@@ -259,31 +378,18 @@ class PiecewiseTrajectory:
             out[~hist] = _interp_sorted(self.main_times, self.main_values, ts[~hist])
         return out
 
+    @cached_property
+    def _view(self) -> _StateView:
+        ht, hv = self.blocks[0]
+        return _StateView(self.delay, np.concatenate([ht, self.main_times]),
+                          np.concatenate([hv, self.main_values], axis=0))
+
     def history_segment(self, t: float) -> HistorySegment:
         """The element w_t of C([-r, 0]) sampled on the native nodes in [t-r, t]."""
         t = float(t)
         if t < -_EDGE_TOL or t > self.coverage_end + _EDGE_TOL * (1.0 + self.horizon):
             raise ValueError(f"t={t} outside [0, {self.coverage_end}]")
-        r = self.delay
-        lo = t - r
-        ht = self.blocks[0][0]
-        mt = self.main_times
-        parts = [ht[(ht > lo) & (ht < t)], mt[(mt > lo) & (mt < t)]]
-        inner = np.concatenate(parts)
-        if len(inner):
-            keep = np.empty(len(inner), dtype=bool)
-            keep[0] = True
-            keep[1:] = np.diff(inner) > 0.0
-            inner = inner[keep]
-        inner_thetas = inner - t
-        # a node one ulp inside the window can round onto an endpoint
-        mask = (inner_thetas > -r) & (inner_thetas < 0.0)
-        inner = inner[mask]
-        thetas = np.concatenate(([-r], inner_thetas[mask], [0.0]))
-        values = np.concatenate(
-            (self.eval_many([lo]), self.eval_many(inner), self.eval_many([t])), axis=0
-        )
-        return HistorySegment(thetas, values)
+        return _Window(self._view, t)
 
     def sigma_norm(self) -> float:
         """Max over the blocks on [0, b] of the sup of node values (inf norm)."""

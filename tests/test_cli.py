@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from impulsedde import cli
 from impulsedde.cli import (
     ConfigError,
     load_config,
@@ -148,6 +151,23 @@ class TestSolve:
         )
         assert run(["solve", "--config", str(path)]) == 4
         assert "segment" in capsys.readouterr().err
+
+    def test_non_finite_solve_exit_four(self, tmp_path, capsys, monkeypatch):
+        # no catalog parameter reaches a stiff generator, so serve one under a new name
+        entry = cli.get_entry("pure_semigroup")
+        stiff = replace(entry.problem, generator=[[-400.0]])
+        monkeypatch.setattr(cli, "get_entry", lambda name: replace(
+            entry, problem=stiff, factory=lambda: (stiff, entry.lipschitz)))
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            "output_path: " + str(tmp_path / "o.csv") + "\n"
+            "problem: {name: stiff_semigroup}\n"
+            "discretization: {step: 1.0e-2}\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["solve", "--config", str(path)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestOtherCommands:

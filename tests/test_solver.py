@@ -248,6 +248,27 @@ class TestSolveMild:
         assert err.value.segment_index == 0
         assert err.value.last_gap > 1e-12
 
+    def test_stiff_generator_raises_instead_of_returning_nan(self):
+        # e^{400 tau} overflows in the Duhamel identity: the first sweep is NaN
+        problem = replace(get_entry("pure_semigroup").problem, generator=[[-400.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="non-finite") as err:
+                solve_mild(problem, Discretization(step=1e-2), CTRL)
+        assert err.value.segment_index == 0
+        assert err.value.iterations == 1
+        assert not np.isfinite(err.value.last_gap)
+
+    def test_non_finite_residual_raises(self):
+        # an impulse at 1 keeps each segment's propagators finite, but the
+        # residual's e^{400 s} over the whole horizon overflows
+        problem = replace(get_entry("pure_semigroup").problem, generator=[[-400.0]],
+                          jump_maps=(lambda x: 0.0 * x,), impulse_times=[1.0],
+                          theta_offsets=[0.0], tau_offsets=[0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="residual") as err:
+                solve_mild(problem, Discretization(step=1e-2), CTRL)
+        assert not np.isfinite(err.value.last_gap)
+
     def test_iteration_counts_stable_under_refinement(self):
         # contraction regime: counts stay finite and do not grow when h halves
         problem = get_entry("parameter_family").problem

@@ -1,0 +1,144 @@
+"""Property tests: lazy delayed-state reads equal reads of the sampled segment.
+
+The reference builds the sample grid of w_t directly from the trajectory:
+theta = -r with the left-continuous value at t - r, every distinct node
+strictly inside the window (a repeated impulse time keeps its first,
+pre-jump value), and theta = 0 with w(t^-) or the given end value.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from impulsedde import HistorySegment, PiecewiseTrajectory
+from impulsedde.trajectory import _EDGE_TOL, _Window
+
+HORIZON = 2.0
+
+
+def reference_segment(traj, t, end_value=None):
+    r = traj.delay
+    times = np.concatenate([traj.blocks[0][0], traj.main_times])
+    values = np.concatenate([traj.blocks[0][1], traj.main_values])
+    first = np.concatenate([[True], times[1:] > times[:-1]])
+    inside = first & (times > t - r) & (times < t) & (times - t > -r)
+    end = traj.eval(t) if end_value is None else end_value
+    thetas = np.concatenate([[-r], times[inside] - t, [0.0]])
+    samples = np.concatenate([traj.eval(t - r)[None], values[inside], end[None]])
+    return HistorySegment(thetas, samples)
+
+
+@st.composite
+def trajectories(draw):
+    n = draw(st.integers(1, 2))
+    r = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+    impulses = sorted(draw(st.sets(st.sampled_from([0.25, 0.5, 1.0, 1.25]), max_size=2)))
+    # full-precision samples, so a wrong bracket shows in the last bits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def block(a, b):
+        # a subset of a linspace grid, like the solver's: inexact node times,
+        # spaced widely enough that distinct nodes give distinct thetas
+        grid = np.linspace(a, b, draw(st.integers(1, 48)) + 1)
+        keep = draw(st.sets(st.integers(1, len(grid) - 2), max_size=10)) if len(grid) > 2 else ()
+        bt = grid[sorted({0, len(grid) - 1, *keep})]
+        return bt, rng.uniform(-10.0, 10.0, (len(bt), n))
+
+    blocks = [block(-r, 0.0)]
+    right_limits = []
+    cuts = [0.0] + impulses + [HORIZON]
+    for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        bt, bv = block(a, b)
+        if j == 0:
+            bv[0] = blocks[0][1][-1]
+        else:
+            right_limits.append(bv[0])
+        blocks.append((bt, bv))
+    return PiecewiseTrajectory(n, r, HORIZON, impulses, tuple(blocks),
+                               np.reshape(right_limits, (-1, n)))
+
+
+@st.composite
+def windows(draw):
+    """A trajectory and a time t, biased toward the awkward windows."""
+    traj = draw(trajectories())
+    r = traj.delay
+    nodes = np.concatenate([traj.blocks[0][0], traj.main_times])
+    specials = [0.0, 0.5 * r] + [float(tk) + d for tk in traj.impulse_times
+                                  for d in (0.0, 1e-3, 0.5 * r, r)]
+    node = draw(st.sampled_from(nodes.tolist()))
+    near_node = [node, node + r, np.nextafter(node + r, np.inf), np.nextafter(node + r, -np.inf)]
+    t = draw(st.one_of(st.sampled_from(specials + near_node), st.floats(0.0, HORIZON)))
+    return traj, float(min(max(t, 0.0), HORIZON))
+
+
+def thetas_for(draw, traj, t):
+    r = traj.delay
+    nodes = np.concatenate([traj.blocks[0][0], traj.main_times])
+    on_node = [float(s - t) for s in nodes if -r < s - t < 0.0]
+    on_node += [float(np.nextafter(th, d)) for th in on_node for d in (-1.0, 1.0)]
+    picks = draw(st.lists(st.sampled_from(on_node), max_size=6)) if on_node else []
+    off_node = draw(st.lists(st.floats(-r, 0.0), min_size=1, max_size=6))
+    return [-r, 0.0, np.nextafter(-r, 0.0), -5e-324] + picks + off_node
+
+
+def assert_reads_match(window, ref, thetas):
+    # scalar reads first, while the lazy window has built no sample grid
+    scalar = [window(th) for th in thetas]
+    for th, value in zip(thetas, scalar):
+        assert np.array_equal(value, ref(th)), th
+    assert np.array_equal(window.theta_grid, ref.theta_grid)
+    assert np.array_equal(window.values, ref.values)
+    assert np.array_equal(window(np.array(thetas)), ref(np.array(thetas)))
+    assert window.sup_norm() == ref.sup_norm()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_history_segment_reads_match_sampled_segment(data):
+    traj, t = data.draw(windows())
+    window = traj.history_segment(t)
+    assert isinstance(window, HistorySegment)
+    assert_reads_match(window, reference_segment(traj, t), thetas_for(data.draw, traj, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_end_value_override(data):
+    traj, t = data.draw(windows())
+    end = data.draw(arrays(float, (traj.dimension,), elements=st.floats(-10.0, 10.0)))
+    window = _Window(traj._view, t, end)
+    assert_reads_match(window, reference_segment(traj, t, end), thetas_for(data.draw, traj, t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_reads_beyond_edge_tolerance_raise(data):
+    traj, t = data.draw(windows())
+    r = traj.delay
+    pad = _EDGE_TOL * (1.0 + r)
+    beyond = data.draw(st.sampled_from([-r - 2.0 * pad, 2.0 * pad, -r - 1.0, 1.0]))
+    window = traj.history_segment(t)
+    with pytest.raises(ValueError):
+        window(beyond)
+    with pytest.raises(ValueError):
+        window(np.array([-0.5 * r, beyond]))
+    # inside the tolerance the read clamps to the end sample
+    assert np.array_equal(window(0.5 * pad), reference_segment(traj, t)(0.0))
+
+
+
+@pytest.mark.parametrize("hist_t, hist_v, t", [
+    # t + theta rounds below the node that theta = node - t reads
+    (np.linspace(-1.5, 0.0, 3), [-9.7, 6.3, 8.3], 0.253),
+    # t - r rounds below the node at -0.8125, yet node - t rounds onto -r
+    (np.array([-1.5, -0.8125, 0.0]), [1.0, 2.0, 3.0], float(np.nextafter(0.6875, -np.inf))),
+])
+def test_brackets_settled_in_theta_space(hist_t, hist_v, t):
+    hist = (hist_t, np.array(hist_v)[:, None])
+    main = (np.array([0.0, HORIZON]), np.array([[hist_v[-1]], [1.0]]))
+    traj = PiecewiseTrajectory(1, 1.5, HORIZON, [], (hist, main), np.zeros((0, 1)))
+    thetas = [float(s - t) for s in hist_t[1:-1]] + [-1.5, -1.0, -0.5, 0.0]
+    assert_reads_match(traj.history_segment(t), reference_segment(traj, t), thetas)
