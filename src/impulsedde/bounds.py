@@ -33,6 +33,7 @@ __all__ = [
     "DivergenceError",
     "compute_Ck",
     "pachpatte_bound",
+    "pachpatte_curve",
     "maximal_solution",
     "build_oracle_grid",
     "existence_certificate",
@@ -104,12 +105,12 @@ class PachpatteInstance:
                     f"window offsets violate 0 <= theta_k <= tau_k <= t_k - t_(k-1) at k={k + 1}"
                 )
             prev = tk[k]
-        # sampled sign and monotonicity checks
-        xs = self.grid
-        nv = _sample(self.n, xs)
+        # sampled sign and monotonicity checks; the f and g samples are the tables'
+        nv = _sample(self.n, self.grid)
         if np.any(nv <= 0.0) or np.any(np.diff(nv) < -1e-12 * (1.0 + np.max(np.abs(nv)))):
             raise ValueError("n(t) must be positive and nondecreasing on the grid")
-        if np.any(_sample(self.f, xs) < 0.0) or np.any(_sample(self.g, xs) < 0.0):
+        fv, gv = self._tables[:2]
+        if np.any(fv < 0.0) or np.any(gv < 0.0):
             raise ValueError("f and g must be nonnegative on the grid")
 
     @property
@@ -139,24 +140,26 @@ class PachpatteInstance:
         F = _cumtrap1d(xs, phi)
         return fv, gv, G, phi, F
 
-    def _G_at(self, t: float) -> float:
+    def _F_at(self, ts: np.ndarray) -> np.ndarray:
+        """int_0^t f[1 + int_0^s g] at each t: the table value on a grid node, else
+        the node's value plus one trapezoid, with f and g sampled at t itself."""
         xs = self.grid
-        _, gv, G, _, _ = self._tables
-        i = int(np.searchsorted(xs, t, side="right")) - 1
-        i = min(max(i, 0), len(xs) - 1)
-        if xs[i] == t or i == len(xs) - 1:
-            return float(G[i])
-        return float(G[i] + 0.5 * (t - xs[i]) * (gv[i] + float(self.g(t))))
+        _, gv, G, phi, F = self._tables
+        i = np.maximum(np.searchsorted(xs, ts, side="right") - 1, 0)
+        out = F[i]
+        off = np.flatnonzero((xs[i] != ts) & (i != len(xs) - 1))
+        t, i = ts[off], i[off]
+        G_t = G[i] + 0.5 * (t - xs[i]) * (gv[i] + _sample(self.g, t))
+        out[off] = F[i] + 0.5 * (t - xs[i]) * (phi[i] + _sample(self.f, t) * (1.0 + G_t))
+        return out
 
-    def _F_at(self, t: float) -> float:
-        xs = self.grid
-        fv, _, _, phi, F = self._tables
-        i = int(np.searchsorted(xs, t, side="right")) - 1
-        i = min(max(i, 0), len(xs) - 1)
-        if xs[i] == t or i == len(xs) - 1:
-            return float(F[i])
-        phi_t = float(self.f(t)) * (1.0 + self._G_at(t))
-        return float(F[i] + 0.5 * (t - xs[i]) * (phi[i] + phi_t))
+    @cached_property
+    def _alpha_tables(self) -> tuple:
+        """F at t_alpha and prod_{k <= alpha} C_k, indexed by alpha = 0..m (t_0 = 0)."""
+        F_alpha = self._F_at(np.concatenate([[0.0], self.impulse_times]))
+        prods = np.array([float(np.prod(self.Ck_values[:a])) if a else 1.0
+                          for a in range(self.num_impulses + 1)])
+        return F_alpha, prods
 
     @cached_property
     def Ck_values(self) -> tuple:
@@ -196,8 +199,8 @@ def compute_Ck(inst: PachpatteInstance, k: int) -> float:
         raise IndexError(f"impulse index {k} out of range 1..{inst.num_impulses}")
     t_prev = 0.0 if k == 1 else float(inst.impulse_times[k - 2])
     t_k = float(inst.impulse_times[k - 1])
-    F_prev = inst._F_at(t_prev)
-    term1 = math.exp(inst._F_at(t_k) - F_prev)
+    F_prev, F_k = inst._F_at(np.array([t_prev, t_k]))
+    term1 = math.exp(F_k - F_prev)
     lo, hi = inst.window(k)
     if hi <= lo:
         return term1
@@ -205,26 +208,38 @@ def compute_Ck(inst: PachpatteInstance, k: int) -> float:
     i0 = int(np.searchsorted(xs, lo, side="right"))
     i1 = int(np.searchsorted(xs, hi, side="left"))
     times = np.concatenate([[lo], xs[i0:i1], [hi]])
-    vals = np.array([math.exp(inst._F_at(float(s)) - F_prev) for s in times])
+    vals = np.array([math.exp(x) for x in (inst._F_at(times) - F_prev).tolist()])
     return term1 + float(inst.beta[k - 1]) * float(np.trapezoid(vals, times))
 
 
-def pachpatte_bound(inst: PachpatteInstance, t: float) -> BoundReport:
-    """Closed-form bound n(t) * prod_{t_k < t} C_k * exp(int_{t_alpha}^t f[1+int g]).
+def pachpatte_curve(inst: PachpatteInstance, ts) -> np.ndarray:
+    """Closed-form bound n(t) * prod_{t_k < t} C_k * exp(int_{t_alpha}^t f[1+int g])
+    at every t of the 1-D array ts, in any order.
 
-    alpha resolves to the last impulse at or before t; with no impulse before t
-    the exponential integrates from 0.
+    alpha resolves to the last impulse strictly before t; with no impulse before
+    t the exponential integrates from 0.
     """
-    t = float(t)
-    if not 0.0 <= t <= inst.horizon + 1e-12:
-        raise ValueError(f"t={t} outside [0, {inst.horizon}]")
-    tk = inst.impulse_times
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError("ts must be a 1-D array of times")
+    bad = ts[~((ts >= 0.0) & (ts <= inst.horizon + 1e-12))]
+    if bad.size:
+        raise ValueError(f"t={bad[0]} outside [0, {inst.horizon}]")
     # strictly-before count: u is left-continuous at t_k, so at t = t_k the
     # resolved alpha must match the product's strict index set
-    alpha = int(np.searchsorted(tk, t, side="left"))
-    t_alpha = float(tk[alpha - 1]) if alpha >= 1 else 0.0
-    prod = float(np.prod(inst.Ck_values[:alpha])) if alpha else 1.0
-    value = float(inst.n(t)) * prod * math.exp(inst._F_at(t) - inst._F_at(t_alpha))
+    alpha = np.searchsorted(inst.impulse_times, ts, side="left")
+    F_alpha, prods = inst._alpha_tables
+    expo = (inst._F_at(ts) - F_alpha[alpha]).tolist()
+    # math.exp per element: np.exp rounds some inputs differently, changing output bits
+    return _sample(inst.n, ts) * prods[alpha] * np.array([math.exp(x) for x in expo])
+
+
+def pachpatte_bound(inst: PachpatteInstance, t: float) -> BoundReport:
+    """The bound curve at one point, with alpha and the C_k; loops over many t
+    should call `pachpatte_curve` once instead."""
+    t = float(t)
+    value = float(pachpatte_curve(inst, np.array([t]))[0])
+    alpha = int(np.searchsorted(inst.impulse_times, t, side="left"))
     return BoundReport(Ck=inst.Ck_values, alpha_index=alpha, value=value)
 
 
@@ -332,11 +347,10 @@ def _reduction_instance(problem: ImpulsiveProblem, lip: LipschitzData, sg: Semig
 
 def _growth_tail(inst: PachpatteInstance, t_query: float) -> float:
     """prod_{t_k < t_query} C_k * exp of the horizon-uniform exponential from t_alpha."""
-    tk = inst.impulse_times
-    alpha = int(np.searchsorted(tk, t_query, side="left"))
-    t_alpha = float(tk[alpha - 1]) if alpha >= 1 else 0.0
-    prod = float(np.prod(inst.Ck_values[:alpha])) if alpha else 1.0
-    return prod * math.exp(inst._F_at(inst.horizon) - inst._F_at(t_alpha))
+    alpha = int(np.searchsorted(inst.impulse_times, t_query, side="left"))
+    F_alpha, prods = inst._alpha_tables
+    F_b = inst._F_at(np.array([inst.horizon]))[0]
+    return float(prods[alpha]) * math.exp(F_b - F_alpha[alpha])
 
 
 def _zero_segment(problem: ImpulsiveProblem) -> HistorySegment:

@@ -33,7 +33,8 @@ from .bounds import (
     dependence_parameter_bound,
     existence_certificate,
     maximal_solution,
-    pachpatte_bound,
+    pachpatte_bound,  # noqa: F401  (kept as cli.pachpatte_bound; perfbench/tracer.py wraps it here)
+    pachpatte_curve,
     random_instance,
 )
 from .model import CatalogEntry, as_state, get_entry, with_history
@@ -303,6 +304,8 @@ def _cmd_bound(cfg: RunConfig, args) -> int:
 
 
 def _cmd_inequality(samples: int, seed: int, out: str | None, step: float) -> int:
+    if samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {samples}")
     rng = np.random.Generator(np.random.Philox(seed))
     tolerance = 1e-8 + 10.0 * step ** 2
     rows = []
@@ -311,7 +314,7 @@ def _cmd_inequality(samples: int, seed: int, out: str | None, step: float) -> in
         inst = random_instance(rng)
         grid = build_oracle_grid(inst, step)
         u = maximal_solution(inst, grid)
-        bound_vals = np.array([pachpatte_bound(inst, float(t)).value for t in grid])
+        bound_vals = pachpatte_curve(inst, grid)
         violation = u - bound_vals
         j = int(np.argmax(violation))
         rows.append((idx, grid[j], float(violation[j]), inst.num_impulses,

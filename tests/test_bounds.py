@@ -21,6 +21,7 @@ from impulsedde import (
     maximal_solution,
     operator_norm_bound,
     pachpatte_bound,
+    pachpatte_curve,
     random_instance,
     with_history,
 )
@@ -119,14 +120,16 @@ class TestPachpatteBound:
             xs = inst.grid
             fv = np.array([f(float(x)) for x in xs])
             Fc = np.concatenate([[0], np.cumsum(0.5 * np.diff(xs) * (fv[1:] + fv[:-1]))])
-            for _ in range(20):
-                t = float(rng.uniform(0.0, 1.5))
+            ts = rng.uniform(0.0, 1.5, 20)
+            curve = pachpatte_curve(inst, ts)
+            for t, on_curve in zip(ts.tolist(), curve):
                 i = int(np.searchsorted(xs, t, side="right")) - 1
                 Ft = Fc[i] if (xs[i] == t or i == len(xs) - 1) else (
                     Fc[i] + 0.5 * (t - xs[i]) * (fv[i] + f(t))
                 )
                 ref = (c0 + c1 * t) * np.exp(Ft)
                 assert pachpatte_bound(inst, t).value == pytest.approx(ref, rel=1e-10)
+                assert on_curve == pytest.approx(ref, rel=1e-10)
 
     def test_monotone_in_data(self, rng):
         base = PachpatteInstance(

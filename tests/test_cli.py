@@ -203,6 +203,13 @@ class TestOtherCommands:
         assert lines[3] == "instance_id,t_max_violation,max_violation,num_impulses,bound_at_horizon"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_inequality_without_samples_is_usage_error(self, samples, capsys):
+        assert run(["inequality", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "--samples must be >= 1" in captured.err
+        assert "max violation" not in captured.out
+
     def test_compare(self, tmp_path, capsys):
         a = tmp_path / "a.yaml"
         a.write_text("problem: {name: parameter_family}\ndiscretization: {step: 5.0e-3}\n")
