@@ -58,6 +58,22 @@ def _cumtrap1d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _sample(fn: Callable, xs: np.ndarray) -> np.ndarray:
+    """fn at each x of the 1-D array xs, as floats.
+
+    From 3 points on, one array call fn(xs) is kept if it has xs's shape (a
+    scalar result is broadcast as a constant) and equals scalar calls at both
+    ends bit for bit; otherwise, as for shorter arrays, fn is called per point.
+    """
+    if len(xs) >= 3:
+        try:  # on any failure fall back: the loop raises what scalar calls raise
+            out = np.asarray(fn(xs.copy()))  # a copy: fn must not write into the caller's grid
+            ends = [float(fn(float(xs[0]))), float(fn(float(xs[-1])))]
+        except Exception:
+            out = None
+        if out is not None and out.dtype.kind in "biuf" and out.shape in ((), xs.shape):
+            out = np.array(np.broadcast_to(out, xs.shape), dtype=float)
+            if np.array_equal(out[[0, -1]], ends):
+                return out
     return np.array([float(fn(float(x))) for x in xs])
 
 
@@ -142,7 +158,8 @@ class PachpatteInstance:
 
     def _F_at(self, ts: np.ndarray) -> np.ndarray:
         """int_0^t f[1 + int_0^s g] at each t: the table value on a grid node, else
-        the node's value plus one trapezoid, with f and g sampled at t itself."""
+        the node's value plus one trapezoid, with f and g sampled at t itself
+        (one `_sample` call each for all off-node t)."""
         xs = self.grid
         _, gv, G, phi, F = self._tables
         i = np.maximum(np.searchsorted(xs, ts, side="right") - 1, 0)
@@ -245,6 +262,8 @@ def pachpatte_bound(inst: PachpatteInstance, t: float) -> BoundReport:
 
 def build_oracle_grid(inst: PachpatteInstance, step: float) -> np.ndarray:
     """Grid for the maximal-solution sweep: spacing <= step, all breakpoints exact."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
     cuts = {0.0, inst.horizon}
     for k in range(1, inst.num_impulses + 1):
         lo, hi = inst.window(k)
@@ -267,6 +286,8 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
     least fixed point, which dominates every u satisfying the inequality on the
     same grid. Divergence (overflow or sweep-budget exhaustion) raises.
     """
+    if not 0.0 < sweep_tol < math.inf or max_sweeps < 1:
+        raise ValueError("sweep_tol must be finite and > 0, and max_sweeps >= 1")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing with >= 2 nodes")
@@ -500,7 +521,10 @@ def random_instance(rng: np.random.Generator, max_impulses: int = 3,
         amp = float(rng.uniform(0.1, hi_amp))
         freq = float(rng.uniform(0.5, 3.0))
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        return lambda t: base + amp * math.sin(freq * t + phase) ** 2
+        # broadcasts over arrays of t; float_power rounds as Python's float **
+        # does (libm pow), while numpy's ** 2 squares arrays and rounds about 1
+        # sample in 1,000 differently
+        return lambda t: base + amp * np.float_power(np.sin(freq * t + phase), 2.0)
 
     c0 = float(rng.uniform(0.5, 2.0))
     c1 = float(rng.uniform(0.0, 1.0))

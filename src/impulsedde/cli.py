@@ -18,6 +18,7 @@ Unknown keys anywhere in the file are hard errors. Exit codes: 0 success/PASS,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -123,8 +124,8 @@ def load_config(path: str) -> RunConfig:
     picard = data.get("picard", {})
 
     step = float(disc.get("step", 1e-3))
-    if not step > 0.0:
-        raise ConfigError(f"discretization.step must be > 0, got {step}")
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"discretization.step must be finite and > 0, got {step}")
     quadrature = str(disc.get("quadrature", "trapezoid"))
     if quadrature != "trapezoid":
         raise ConfigError(f"discretization.quadrature must be 'trapezoid', got {quadrature!r}")

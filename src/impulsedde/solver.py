@@ -42,8 +42,8 @@ class Discretization:
     quadrature: str = "trapezoid"
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError("step must be > 0")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
         if self.quadrature != "trapezoid":
             raise ValueError(f"unknown quadrature rule {self.quadrature!r}")
 

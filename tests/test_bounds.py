@@ -187,6 +187,26 @@ class TestMaximalSolution:
         with pytest.raises(DivergenceError):
             maximal_solution(inst, grid, max_sweeps=2)
 
+    @pytest.mark.parametrize("settings", [dict(sweep_tol=float("nan")), dict(sweep_tol=-1e-12),
+                                          dict(sweep_tol=0.0), dict(sweep_tol=float("inf")),
+                                          dict(max_sweeps=0), dict(max_sweeps=-1)])
+    def test_bad_sweep_settings_rejected_up_front(self, settings):
+        inst = plain_instance(f=lambda t: 1.0)
+        grid = build_oracle_grid(inst, 1e-2)
+        with pytest.raises(ValueError, match="sweep_tol must be finite and > 0, and max_sweeps"):
+            maximal_solution(inst, grid, **settings)
+
+    @pytest.mark.parametrize("step", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_oracle_grid_rejects_bad_step(self, step):
+        inst = plain_instance(impulse_times=[1.0], beta=[1.0], theta=[0.0], tau=[0.5])
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            build_oracle_grid(inst, step)
+
+    @pytest.mark.parametrize("step", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_discretization_rejects_bad_step(self, step):
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            Discretization(step=step)
+
 
 class TestExistenceCertificate:
     def test_zero_lipschitz_passes(self):

@@ -63,6 +63,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="discretization.step"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("step", [".inf", ".nan"])
+    def test_non_finite_step_exit_two(self, tmp_path, capsys, step):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"problem: {{name: paper_example}}\ndiscretization: {{step: {step}}}\n")
+        assert run(["inequality", "--config", str(path), "--samples", "3", "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "discretization.step" in captured.err
+        assert "max violation" not in captured.out
+
     def test_missing_problem_name(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("discretization: {step: 1.0e-3}\n")
