@@ -21,8 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import ImpulsiveProblem, LipschitzData, as_state
+from .quadrature import KernelU, cumtrap, segment_grid, volterra_tri, window_nodes
 from .semigroup import SemigroupBound
-from .solver import Discretization, PicardControl, _KernelU, _volterra_tri, solve_mild
+from .solver import Discretization, PicardControl, solve_mild
 from .trajectory import HistorySegment, sigma_diff
 
 __all__ = [
@@ -48,13 +49,6 @@ __all__ = [
 
 class DivergenceError(RuntimeError):
     """The maximal-solution sweep overflowed or exhausted its sweep budget."""
-
-
-def _cumtrap1d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum(0.5 * np.diff(x) * (y[1:] + y[:-1]), out=out[1:])
-    return out
 
 
 def _sample(fn: Callable, xs: np.ndarray) -> np.ndarray:
@@ -151,9 +145,9 @@ class PachpatteInstance:
         xs = self.grid
         fv = _sample(self.f, xs)
         gv = _sample(self.g, xs)
-        G = _cumtrap1d(xs, gv)
+        G = cumtrap(xs, gv)
         phi = fv * (1.0 + G)
-        F = _cumtrap1d(xs, phi)
+        F = cumtrap(xs, phi)
         return fv, gv, G, phi, F
 
     def _F_at(self, ts: np.ndarray) -> np.ndarray:
@@ -221,10 +215,7 @@ def compute_Ck(inst: PachpatteInstance, k: int) -> float:
     lo, hi = inst.window(k)
     if hi <= lo:
         return term1
-    xs = inst.grid
-    i0 = int(np.searchsorted(xs, lo, side="right"))
-    i1 = int(np.searchsorted(xs, hi, side="left"))
-    times = np.concatenate([[lo], xs[i0:i1], [hi]])
+    times = window_nodes(inst.grid, lo, hi)
     vals = np.array([math.exp(x) for x in (inst._F_at(times) - F_prev).tolist()])
     return term1 + float(inst.beta[k - 1]) * float(np.trapezoid(vals, times))
 
@@ -264,18 +255,10 @@ def build_oracle_grid(inst: PachpatteInstance, step: float) -> np.ndarray:
     """Grid for the maximal-solution sweep: spacing <= step, all breakpoints exact."""
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be finite and > 0, got {step}")
-    cuts = {0.0, inst.horizon}
+    cuts = []
     for k in range(1, inst.num_impulses + 1):
-        lo, hi = inst.window(k)
-        cuts.update((lo, hi, float(inst.impulse_times[k - 1])))
-    cuts = sorted(c for c in cuts if 0.0 <= c <= inst.horizon)
-    parts = [np.array([0.0])]
-    for p, q in zip(cuts[:-1], cuts[1:]):
-        if q - p <= 0.0:
-            continue
-        pieces = max(1, math.ceil((q - p) / step - 1e-9))
-        parts.append(np.linspace(p, q, pieces + 1)[1:])
-    return np.concatenate(parts)
+        cuts.extend((*inst.window(k), float(inst.impulse_times[k - 1])))
+    return segment_grid(0.0, inst.horizon, step, cuts)
 
 
 def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
@@ -314,7 +297,7 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
 
     u = nv.copy()
     for _ in range(max_sweeps):
-        unew = nv + _cumtrap1d(grid, fv * u) + _cumtrap1d(grid, fv * _cumtrap1d(grid, gv * u))
+        unew = nv + cumtrap(grid, fv * u) + cumtrap(grid, fv * cumtrap(grid, gv * u))
         for k, sl, active in windows:
             unew[active] += float(inst.beta[k - 1]) * float(np.trapezoid(u[sl], grid[sl]))
         if not np.all(np.isfinite(unew)):
@@ -390,14 +373,11 @@ def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBo
     inst = _reduction_instance(problem, lip, sg)
     xs = inst.grid
 
-    hist_t = np.linspace(-problem.delay, 0.0,
-                         max(2, math.ceil(problem.delay / disc.step - 1e-9) + 1))
+    hist_t = segment_grid(-problem.delay, 0.0, disc.step)
     varsigma_norm = float(np.max(np.abs(problem.history_values(hist_t))))
 
     zero_seg = _zero_segment(problem)
-    kernel = _KernelU(problem)
-    segs = [zero_seg] * len(xs)
-    z0 = _volterra_tri(kernel, xs, segs, n)
+    z0 = volterra_tri(KernelU(problem), xs, [zero_seg] * len(xs), n)
     v0 = np.array([np.max(np.abs(as_state(problem.V(float(s), zero_seg, z0[i]), n)))
                    for i, s in enumerate(xs)])
     H = M * float(np.trapezoid(v0, xs))
@@ -406,9 +386,7 @@ def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBo
     for k in range(1, problem.num_impulses + 1):
         lo, hi = problem.jump_window(k)
         if hi > lo:
-            i0 = int(np.searchsorted(xs, lo, side="right"))
-            i1 = int(np.searchsorted(xs, hi, side="left"))
-            times = np.concatenate([[lo], xs[i0:i1], [hi]])
+            times = window_nodes(xs, lo, hi)
             gv = np.stack([as_state(problem.G(float(s), zero_seg), n) for s in times])
             wI = np.trapezoid(gv, times, axis=0)
         else:
@@ -422,8 +400,8 @@ def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBo
 def dependence_initial_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBound,
                              varsigma_gap: float, t_query: Optional[float] = None) -> float:
     """Sigma-norm gap bound for two solutions differing only in their histories."""
-    if varsigma_gap < 0.0:
-        raise ValueError("varsigma_gap must be >= 0")
+    if not 0.0 <= varsigma_gap < math.inf:
+        raise ValueError(f"varsigma_gap must be finite and >= 0, got {varsigma_gap}")
     tq = problem.horizon if t_query is None else float(t_query)
     inst = _reduction_instance(problem, lip, sg)
     return sg.M * float(varsigma_gap) * _growth_tail(inst, tq)
@@ -437,8 +415,8 @@ def dependence_parameter_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg
     Uses the parameter-uniform moduli N_V_tilde / L_G_tilde inside the growth
     factors and the sensitivities Omega_1 / Omega_2 in the prefactor.
     """
-    if rho_gap < 0.0 or mu_gap < 0.0:
-        raise ValueError("parameter gaps must be >= 0")
+    if not (0.0 <= rho_gap < math.inf and 0.0 <= mu_gap < math.inf):
+        raise ValueError(f"parameter gaps must be finite and >= 0, got {rho_gap}, {mu_gap}")
     tq = problem.horizon if t_query is None else float(t_query)
     b, M = problem.horizon, sg.M
     inst = _reduction_instance(problem, lip, sg, tilde=True)
@@ -450,8 +428,6 @@ def dependence_parameter_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg
 def dependence_function_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBound,
                               t_query: Optional[float] = None) -> float:
     """Gap bound against a perturbed system: (M J + b M P + sum M N_k) * growth."""
-    if lip.P < 0.0 or lip.J < 0.0 or any(v < 0.0 for v in lip.N_k):
-        raise ValueError("P, J, N_k must be >= 0")
     tq = problem.horizon if t_query is None else float(t_query)
     b, M = problem.horizon, sg.M
     inst = _reduction_instance(problem, lip, sg)

@@ -130,8 +130,8 @@ def load_config(path: str) -> RunConfig:
     if quadrature != "trapezoid":
         raise ConfigError(f"discretization.quadrature must be 'trapezoid', got {quadrature!r}")
     tolerance = float(picard.get("tolerance", 1e-10))
-    if not tolerance > 0.0:
-        raise ConfigError(f"picard.tolerance must be > 0, got {tolerance}")
+    if not 0.0 < tolerance < math.inf:
+        raise ConfigError(f"picard.tolerance must be finite and > 0, got {tolerance}")
     max_iterations = int(picard.get("max_iterations", 200))
     if max_iterations < 1:
         raise ConfigError(f"picard.max_iterations must be >= 1, got {max_iterations}")

@@ -15,6 +15,7 @@ pure; instances are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -113,10 +114,10 @@ class LipschitzData:
         object.__setattr__(self, "N_k", tuple(float(v) for v in self.N_k))
         for name in ("L_G", "Omega_1", "Omega_2", "L_G_tilde", "P", "J"):
             object.__setattr__(self, name, float(getattr(self, name)))
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if any(d < 0.0 for d in self.D_k) or any(v < 0.0 for v in self.N_k):
-            raise ValueError("D_k and N_k entries must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not all(0.0 <= x < math.inf for x in self.D_k + self.N_k):
+            raise ValueError("D_k and N_k entries must be finite and >= 0")
 
 
 @dataclass(frozen=True)

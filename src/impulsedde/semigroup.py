@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class SemigroupBound:
     sample_count: int
 
     def __post_init__(self):
-        if self.M < 1.0:
-            raise ValueError("M must be >= 1")
+        if not 1.0 <= self.M < math.inf:
+            raise ValueError(f"M must be finite and >= 1, got {self.M}")
         if self.omega != 0.0:
             raise ValueError("omega is recorded as 0 on a finite horizon")
 
@@ -88,8 +89,8 @@ def operator_norm_bound(A, horizon: float, samples: int = 1024) -> SemigroupBoun
     """
     A = _check_square(A)
     horizon = float(horizon)
-    if horizon <= 0.0:
-        raise ValueError("horizon must be > 0")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     samples = int(samples)
     if samples < 2:
         raise ValueError("samples must be >= 2")

@@ -19,8 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ImpulsiveProblem, as_state, validate
+from .quadrature import KernelU, cumtrap, segment_grid, volterra_rect, volterra_tri, window_nodes
 from .semigroup import apply_stack, propagator_stack
 from .trajectory import PiecewiseTrajectory, _StateView, _Window
+
+_segment_grid = segment_grid  # the old private name, still imported by tests/test_solver.py
 
 __all__ = [
     "Discretization",
@@ -55,8 +58,8 @@ class PicardControl:
     initial_iterate: str = "constant"
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be > 0")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.initial_iterate not in ("constant", "ramp"):
@@ -85,126 +88,6 @@ class ConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# kernel adapters
-
-class _KernelU:
-    """Evaluates U over a vector of outer times.
-
-    The first call probes whether U broadcasts over its time argument (and
-    cross-checks two rows against scalar calls); if not, every later call
-    falls back to a scalar loop.
-    """
-
-    def __init__(self, problem: ImpulsiveProblem):
-        self._U = problem.U
-        self._n = problem.dimension
-        self._mode = None
-
-    def _loop(self, ts, s, seg):
-        return np.stack([as_state(self._U(float(t), s, seg), self._n) for t in ts])
-
-    def _normalize(self, raw, T):
-        arr = np.asarray(raw, dtype=float)
-        n = self._n
-        if arr.ndim == 0:
-            return np.full((T, n), float(arr))
-        if arr.shape == (T, n):
-            return arr
-        if n == 1:
-            if arr.shape == (T,):
-                return arr[:, None]
-            if arr.shape in ((1,), (1, 1)):
-                return np.full((T, 1), float(arr.reshape(())))
-        if arr.shape == (n,):
-            return np.broadcast_to(arr, (T, n)).copy()
-        raise ValueError(f"cannot interpret batched kernel output of shape {arr.shape}")
-
-    def __call__(self, ts, s, seg) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        T = len(ts)
-        s = float(s)
-        if self._mode == "scalar":
-            return self._loop(ts, s, seg)
-        try:
-            arr = self._normalize(self._U(ts, s, seg), T)
-        except Exception:
-            if self._mode is None:
-                self._mode = "scalar"
-                return self._loop(ts, s, seg)
-            raise
-        if self._mode is None:
-            first = as_state(self._U(float(ts[0]), s, seg), self._n)
-            last = as_state(self._U(float(ts[-1]), s, seg), self._n)
-            tol = 1e-10 * (1.0 + max(np.max(np.abs(first)), np.max(np.abs(last))))
-            if np.max(np.abs(arr[0] - first)) > tol or np.max(np.abs(arr[-1] - last)) > tol:
-                self._mode = "scalar"
-                return self._loop(ts, s, seg)
-            self._mode = "batch"
-        return arr
-
-
-# ---------------------------------------------------------------------------
-# quadrature building blocks
-
-def _cumtrap(times: np.ndarray, g: np.ndarray) -> np.ndarray:
-    incr = 0.5 * np.diff(times)[:, None] * (g[1:] + g[:-1])
-    out = np.empty_like(g)
-    out[0] = 0.0
-    np.cumsum(incr, axis=0, out=out[1:])
-    return out
-
-
-def _volterra_rect(kernel, t_nodes, sigma_times, sigma_segs, n):
-    """int over the whole sigma range of U(t, sigma, w_sigma), for every t."""
-    out = np.zeros((len(t_nodes), n))
-    if len(sigma_times) < 2:
-        return out
-    d = np.diff(sigma_times)
-    w = np.zeros(len(sigma_times))
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    for i, wi in enumerate(w):
-        if wi == 0.0:
-            continue
-        out += wi * kernel(t_nodes, sigma_times[i], sigma_segs[i])
-    return out
-
-
-def _volterra_tri(kernel, nodes, segs, n):
-    """z[j] = int_{nodes[0]}^{nodes[j]} U(nodes[j], sigma, w_sigma) dsigma."""
-    T = len(nodes)
-    z = np.zeros((T, n))
-    if T < 2:
-        return z
-    d = np.diff(nodes)
-    for i in range(T):
-        left = d[i - 1] if i > 0 else 0.0
-        right = d[i] if i < T - 1 else 0.0
-        if left == 0.0 and right == 0.0:
-            continue
-        col = kernel(nodes[i:], nodes[i], segs[i])
-        if left != 0.0:
-            z[i:] += 0.5 * left * col
-        if right != 0.0:
-            z[i + 1 :] += 0.5 * right * col[1:]
-    return z
-
-
-def _segment_grid(a: float, b: float, h: float, specials=()) -> np.ndarray:
-    """Nodes of [a, b] with spacing <= h; the special points are exact nodes."""
-    cuts = [a]
-    for s in sorted(set(float(x) for x in specials)):
-        if a < s < b and s - cuts[-1] > 1e-14 * (1.0 + abs(b)):
-            cuts.append(s)
-    cuts.append(b)
-    parts = [np.array([a])]
-    for p, q in zip(cuts[:-1], cuts[1:]):
-        pieces = max(1, math.ceil((q - p) / h - 1e-9))
-        parts.append(np.linspace(p, q, pieces + 1)[1:])
-    return np.concatenate(parts)
-
-
-# ---------------------------------------------------------------------------
 # public quadrature operations
 
 def _integrate_G(problem: ImpulsiveProblem, view: _StateView, k: int) -> np.ndarray:
@@ -212,9 +95,7 @@ def _integrate_G(problem: ImpulsiveProblem, view: _StateView, k: int) -> np.ndar
     n = problem.dimension
     if hi == lo:
         return np.zeros(n)
-    i0 = np.searchsorted(view.times, lo, side="right")
-    i1 = np.searchsorted(view.times, hi, side="left")
-    times = np.concatenate([[lo], view.times[i0:i1], [hi]])
+    times = window_nodes(view.times, lo, hi)
     imp = problem.impulse_times
     vals = np.empty((len(times), n))
     for i, s in enumerate(times.tolist()):
@@ -252,12 +133,29 @@ def volterra_term(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, t: float
     times = np.concatenate([traj.main_times[:i1], [t]])
     values = np.concatenate([traj.main_values[:i1], [view.eval_left(t)]])
     segs = [_Window(view, s, end) for s, end in zip(times.tolist(), values)]
-    kernel = _KernelU(problem)
-    return _volterra_rect(kernel, np.array([t]), times, segs, n)[0]
+    kernel = KernelU(problem)
+    return volterra_rect(kernel, np.array([t]), times, segs, n)[0]
 
 
 # ---------------------------------------------------------------------------
 # Picard iteration
+
+def _mild_map(problem, kernel, view, times, values, fwd, bwd, w0, z_rect=None):
+    """The mild map at the nodes `times` of the iterate `values`, read through
+    `view`; fwd, bwd are e^{+-A (times - times[0])}. z_rect, the iterate-free part
+    of the inner integral, is added when given (adding zeros would turn -0.0 to +0.0)."""
+    n = problem.dimension
+    # the stored node value is the correct one-sided sample at theta = 0
+    # (post-jump at a segment start, interior values elsewhere)
+    segs = [_Window(view, s, end) for s, end in zip(times.tolist(), values)]
+    z = volterra_tri(kernel, times, segs, n)
+    if z_rect is not None:
+        z = z_rect + z
+    v = np.empty((len(times), n))
+    for i in range(len(times)):
+        v[i] = as_state(problem.V(float(times[i]), segs[i], z[i]), n)
+    return apply_stack(fwd, w0[None, :] + cumtrap(times, apply_stack(bwd, v)))
+
 
 def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretization,
                   control: PicardControl):
@@ -286,7 +184,7 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
         w_plus = prefix.right_limits[k - 1]
 
     specials = problem.jump_window(k + 1) if k + 1 <= m else ()
-    times = _segment_grid(t_start, t_end, disc.step, specials)
+    times = segment_grid(t_start, t_end, disc.step, specials)
     T = len(times)
     taus = times - t_start
 
@@ -296,21 +194,13 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
 
     ht, hv = prefix.blocks[0]
     pre_t, pre_v = prefix.main_times, prefix.main_values
-    kernel = _KernelU(problem)
-
-    times_list = times.tolist()
-
-    def make_segs(seg_vals):
-        # the stored node value is the correct one-sided sample at theta = 0
-        # (post-jump at a segment start, interior values elsewhere)
-        view = _StateView(problem.delay, np.concatenate([ht, pre_t, times]),
-                          np.concatenate([hv, pre_v, seg_vals], axis=0))
-        return [_Window(view, s, end) for s, end in zip(times_list, seg_vals)]
+    kernel = KernelU(problem)
+    view_times = np.concatenate([ht, pre_t, times])
 
     # the prefix part of the inner integral is iterate-independent
     if len(pre_t):
         pre_segs = [_Window(prefix._view, s, end) for s, end in zip(pre_t.tolist(), pre_v)]
-        z_rect = _volterra_rect(kernel, times, pre_t, pre_segs, n)
+        z_rect = volterra_rect(kernel, times, pre_t, pre_segs, n)
     else:
         z_rect = np.zeros((T, n))
 
@@ -325,12 +215,8 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     gap = np.inf
     iterations = 0
     for iterations in range(1, control.max_iterations + 1):
-        segs = make_segs(values)
-        z = z_rect + _volterra_tri(kernel, times, segs, n)
-        v = np.empty((T, n))
-        for i in range(T):
-            v[i] = as_state(problem.V(float(times[i]), segs[i], z[i]), n)
-        new = apply_stack(fwd, w_plus[None, :] + _cumtrap(times, apply_stack(bwd, v)))
+        view = _StateView(problem.delay, view_times, np.concatenate([hv, pre_v, values], axis=0))
+        new = _mild_map(problem, kernel, view, times, values, fwd, bwd, w_plus, z_rect)
         gap = float(np.max(np.abs(new - values)))
         if not math.isfinite(gap):
             # a NaN gap would fail every comparison below and run on silently
@@ -365,8 +251,7 @@ def solve_mild(problem: ImpulsiveProblem,
         raise ValueError("invalid problem: " + "; ".join(violations))
     n = problem.dimension
     r, b = problem.delay, problem.horizon
-    nh = max(1, math.ceil(r / disc.step - 1e-9))
-    hist_t = np.linspace(-r, 0.0, nh + 1)
+    hist_t = segment_grid(-r, 0.0, disc.step)
     hist_v = problem.history_values(hist_t)
 
     blocks = [(hist_t, hist_v)]
@@ -436,18 +321,10 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory,
     ht, hv = traj.blocks[0]
     view = _StateView(problem.delay, np.concatenate([ht, sigma]),
                       np.concatenate([hv, w_ref], axis=0))
-    segs = [_Window(view, s, end) for s, end in zip(sigma.tolist(), w_ref)]
-    kernel = _KernelU(problem)
-    z = _volterra_tri(kernel, sigma, segs, n)
-    v = np.empty((len(sigma), n))
-    for i in range(len(sigma)):
-        v[i] = as_state(problem.V(float(sigma[i]), segs[i], z[i]), n)
-
     A = problem.generator
     fwd = propagator_stack(A, sigma)
     bwd = propagator_stack(A, -sigma)
-    varsigma0 = hv[-1]
-    rhs = apply_stack(fwd, varsigma0[None, :] + _cumtrap(sigma, apply_stack(bwd, v)))
+    rhs = _mild_map(problem, KernelU(problem), view, sigma, w_ref, fwd, bwd, hv[-1])
 
     dup2 = np.zeros(len(sigma), dtype=bool)
     dup2[1:] = sigma[1:] == sigma[:-1]

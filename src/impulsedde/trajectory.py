@@ -333,10 +333,7 @@ class PiecewiseTrajectory:
         """Left-continuous value: at an impulse time this is w(t_k^-)."""
         t = float(t)
         self._check_domain(t, self.coverage_end)
-        if t <= 0.0:
-            ht, hv = self.blocks[0]
-            return _interp_sorted(ht, hv, np.array([t]))[0]
-        return _interp_sorted(self.main_times, self.main_values, np.array([t]))[0]
+        return self.eval_many(np.array([t]))[0]
 
     def eval_right(self, t: float) -> np.ndarray:
         """Right limit w(t^+); differs from eval only at impulse times.
@@ -347,36 +344,14 @@ class PiecewiseTrajectory:
         if t >= self.horizon:
             raise ValueError(f"right limit undefined at t={t} >= horizon {self.horizon}")
         self._check_domain(t, self.coverage_end)
-        if t < 0.0:
-            ht, hv = self.blocks[0]
-            return _interp_sorted(ht, hv, np.array([t]))[0]
-        mt, mv = self.main_times, self.main_values
-        if len(mt) == 0:
-            return self.blocks[0][1][-1].copy()
-        i = np.searchsorted(mt, t, side="right") - 1
-        if i < 0:
-            return mv[0].copy()
-        if mt[i] == t:
-            if i + 1 == len(mt) and len(self.right_limits) == len(self.blocks) - 1:
-                # coverage ends at an impulse whose jump is already recorded
-                return self.right_limits[-1].copy()
-            return mv[i].copy()
-        if i + 1 >= len(mt):
-            return mv[-1].copy()
-        frac = (t - mt[i]) / (mt[i + 1] - mt[i])
-        return mv[i] + frac * (mv[i + 1] - mv[i])
+        if t == self.coverage_end and 0 < len(self.right_limits) == len(self.blocks) - 1:
+            # coverage ends at an impulse whose jump is already recorded
+            return self.right_limits[-1].copy()
+        return self._view.eval_right(t).copy()
 
     def eval_many(self, ts) -> np.ndarray:
         """Vectorized left-continuous evaluation."""
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.shape + (self.dimension,))
-        hist = ts <= 0.0
-        if np.any(hist):
-            ht, hv = self.blocks[0]
-            out[hist] = _interp_sorted(ht, hv, ts[hist])
-        if np.any(~hist):
-            out[~hist] = _interp_sorted(self.main_times, self.main_values, ts[~hist])
-        return out
+        return _interp_sorted(self._view.times, self._view.values, ts)
 
     @cached_property
     def _view(self) -> _StateView:

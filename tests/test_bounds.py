@@ -310,6 +310,19 @@ class TestDependenceBounds:
         with pytest.raises(ValueError):
             dependence_initial_bound(problem, lip, sg, -0.1)
 
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
+    def test_non_finite_gap_rejected(self, paper, gap):
+        problem, lip, sg = paper
+        with pytest.raises(ValueError, match="varsigma_gap"):
+            dependence_initial_bound(problem, lip, sg, gap)
+        entry = get_entry("parameter_family")
+        family, lip_f = entry.problem, entry.lipschitz
+        sg_f = operator_norm_bound(family.generator, family.horizon)
+        with pytest.raises(ValueError, match="parameter gaps"):
+            dependence_parameter_bound(family, lip_f, sg_f, rho_gap=gap, mu_gap=0.1)
+        with pytest.raises(ValueError, match="parameter gaps"):
+            dependence_parameter_bound(family, lip_f, sg_f, rho_gap=0.1, mu_gap=gap)
+
 
 class TestCheckDependence:
     DISC = Discretization(step=5e-3)

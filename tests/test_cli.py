@@ -72,6 +72,16 @@ class TestLoadConfig:
         assert "discretization.step" in captured.err
         assert "max violation" not in captured.out
 
+    @pytest.mark.parametrize("tolerance", [".inf", ".nan"])
+    def test_non_finite_tolerance_exit_two(self, tmp_path, capsys, tolerance):
+        path = tmp_path / "bad.yaml"
+        path.write_text("problem: {name: windowed_impulse}\ndiscretization: {step: 5.0e-3}\n"
+                        f"picard: {{tolerance: {tolerance}}}\n")
+        out = tmp_path / "traj.csv"
+        assert run(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert "picard.tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_problem_name(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("discretization: {step: 1.0e-3}\n")
@@ -201,6 +211,20 @@ class TestOtherCommands:
         code = run(["bound", "--config", str(path), "--kind", "parameter",
                     "--rho-gap", "0.1", "--empirical"])
         assert code == 2
+
+    @pytest.mark.parametrize("problem, args", [
+        ("paper_example", ["--kind", "initial", "--gap", "nan"]),
+        ("paper_example", ["--kind", "initial", "--gap", "inf"]),
+        ("parameter_family", ["--kind", "parameter", "--rho-gap", "nan"]),
+        ("paper_example", ["--kind", "function", "--p-gap", "nan"]),
+    ])
+    def test_bound_non_finite_gap_exit_two(self, tmp_path, capsys, problem, args):
+        path = tmp_path / "c.yaml"
+        path.write_text(f"problem: {{name: {problem}}}\n")
+        assert run(["bound", "--config", str(path)] + args) == 2
+        captured = capsys.readouterr()
+        assert "bound not evaluable" in captured.err
+        assert "theoretical" not in captured.out
 
     def test_inequality_campaign(self, tmp_path, capsys):
         out = tmp_path / "campaign.csv"

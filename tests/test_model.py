@@ -134,3 +134,19 @@ class TestValidate:
             LipschitzData(N_V=lambda t: 1.0, N_U=lambda t: 0.0, L_G=-0.1)
         with pytest.raises(ValueError, match="D_k"):
             LipschitzData(N_V=lambda t: 1.0, N_U=lambda t: 0.0, L_G=0.0, D_k=(-1.0,))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["L_G", "Omega_1", "Omega_2", "L_G_tilde", "P", "J"])
+    def test_lipschitz_scalars_finite(self, name, value):
+        from impulsedde import LipschitzData
+
+        with pytest.raises(ValueError, match=name):
+            LipschitzData(N_V=lambda t: 1.0, N_U=lambda t: 0.0, **{"L_G": 0.0, name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["D_k", "N_k"])
+    def test_lipschitz_entries_finite(self, name, value):
+        from impulsedde import LipschitzData
+
+        with pytest.raises(ValueError, match=name):
+            LipschitzData(N_V=lambda t: 1.0, N_U=lambda t: 0.0, L_G=0.0, **{name: (0.5, value)})

@@ -98,3 +98,11 @@ class TestOperatorNormBound:
             operator_norm_bound([[1.0]], -1.0)
         with pytest.raises(ValueError):
             operator_norm_bound([[1.0]], 1.0, samples=1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_horizon_and_M_rejected(self, value):
+        # a NaN or infinite horizon used to give M = 1.000001 whatever A was
+        with pytest.raises(ValueError, match="horizon"):
+            operator_norm_bound([[1.0]], value)
+        with pytest.raises(ValueError, match="M must be finite"):
+            SemigroupBound(M=value, omega=0.0, horizon=1.0, sample_count=2)

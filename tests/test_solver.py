@@ -353,3 +353,9 @@ class TestControls:
             PicardControl(max_iterations=0)
         with pytest.raises(ValueError):
             PicardControl(initial_iterate="noise")
+
+    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
+    def test_picard_tolerance_must_be_finite(self, tolerance):
+        # an infinite tolerance used to stop every segment after one sweep
+        with pytest.raises(ValueError, match="tolerance"):
+            PicardControl(tolerance=tolerance)
