@@ -9,8 +9,20 @@ An ImpulsiveProblem bundles everything that defines
 with state space R^n under the sup norm. Kernels receive the delayed state as a
 HistorySegment. U may additionally be called with a 1-D array as its first
 argument (the outer time) and should then broadcast; the solver exploits this
-and falls back to scalar calls when it does not hold. All callables must be
-pure; instances are immutable and safe to share between threads.
+and falls back to scalar calls when it does not hold. A U that returns one row
+for a vector of times declares that it ignores t.
+
+V, U, G and the history may be marked with `batched`. The solver then calls
+each once over all T nodes of a sweep: V(ts, W, z), U(ss, ss, W), G(ss, W)
+and history(ts), with ts, ss of shape (T,), z of shape (T, n) and a window
+W(theta) -> (T, n) whose row i is w_{ts[i]}(theta). Each returns (T, n), or
+(T,) when n = 1. Unmarked kernels are called node by node (`node_rows`), so
+scalar kernels keep working; `validate` checks that a marked kernel's rows
+equal its scalar calls bit for bit. The catalog's kernels are all marked and
+written shape-generically (`w(theta)[..., 0]`, not `w(theta)[0]`).
+
+All callables must be pure; instances are immutable and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .trajectory import HistorySegment
+from .trajectory import HistorySegment, _StateView, _Windows
 
 __all__ = [
     "ImpulsiveProblem",
@@ -32,6 +44,7 @@ __all__ = [
     "build_catalog",
     "get_entry",
     "as_state",
+    "batched",
 ]
 
 
@@ -45,6 +58,43 @@ def as_state(x, n: int) -> np.ndarray:
     if a.shape == (n,):
         return a
     raise ValueError(f"expected a length-{n} vector, got shape {a.shape}")
+
+
+def batched(fn):
+    """Mark a kernel (V, U, G or the history) as taking whole node arrays."""
+    fn.batched = True
+    return fn
+
+
+def as_rows(x, T: int, n: int) -> np.ndarray:
+    """Normalize a batched kernel result to a fresh (T, n) float array."""
+    a = np.array(x, dtype=float)
+    if a.shape == (T, n):
+        return a
+    if n == 1 and a.shape == (T,):
+        return a[:, None]
+    raise ValueError(f"expected ({T}, {n}) rows from a batched kernel, got shape {a.shape}")
+
+
+def node_rows(kernel, n: int, times: np.ndarray, windows, *tail, lead: int = 1) -> np.ndarray:
+    """The kernel at every node: `lead` copies of the node time, its window, then
+    row i of each `tail` array. A marked kernel reading `_Windows` is called
+    once over all nodes; any other kernel once per node on scalar windows."""
+    if getattr(kernel, "batched", False) and isinstance(windows, _Windows):
+        return as_rows(kernel(*(times,) * lead, windows, *tail), len(times), n)
+    rows = np.empty((len(times), n))
+    for i, t in enumerate(times.tolist()):
+        rows[i] = as_state(kernel(*(t,) * lead, windows[i], *(a[i] for a in tail)), n)
+    return rows
+
+
+def _history_rows(history, times: np.ndarray, n: int) -> np.ndarray:
+    if getattr(history, "batched", False):
+        return as_rows(history(times), len(times), n)
+    rows = np.empty((len(times), n))
+    for i, t in enumerate(times.tolist()):
+        rows[i] = as_state(history(t), n)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -84,7 +134,7 @@ class ImpulsiveProblem:
 
     def history_values(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return np.stack([as_state(self.history(float(t)), self.dimension) for t in times])
+        return _history_rows(self.history, times, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -256,6 +306,44 @@ def validate(problem: ImpulsiveProblem) -> list:
             as_state(jump(zero), n)
         except Exception as exc:
             out.append(f"I_{k} probe failed: {exc}")
+    if not out:
+        out += _batched_probe(problem)
+    return out
+
+
+def _batched_probe(problem: ImpulsiveProblem) -> list:
+    """Call each kernel marked `batched` once on a 3-node probe window; its rows
+    must equal its scalar calls bit for bit."""
+    n, r = problem.dimension, problem.delay
+    thetas = np.linspace(-r, 0.0, 9)
+    thetas[-1] = 0.0
+    try:  # scalar calls: the wrapper carries no mark
+        hist = _history_rows(lambda t: problem.history(t), thetas, n)
+    except Exception as exc:  # noqa: BLE001 - a marked history may fail on scalars
+        return [f"batched history probe failed: {exc}"]
+    ts = np.array([0.0, 0.25 * r, 0.5 * r])
+    ends = hist[[8, 6, 4]]  # the probe state goes on as w(t) = history(-t)
+    view = _StateView(r, np.concatenate([thetas, ts]), np.concatenate([hist, ends]))
+    windows = view.windows(ts, ends)
+    probes = {
+        "V": lambda f: node_rows(f, n, ts, windows, ends),
+        "U": lambda f: node_rows(f, n, ts, windows, lead=2),
+        "G": lambda f: node_rows(f, n, ts, windows),
+        "history": lambda f: _history_rows(f, thetas[4::2], n),
+    }
+    out = []
+    for name, rows in probes.items():
+        fn = getattr(problem, name)
+        if not getattr(fn, "batched", False):
+            continue
+        try:
+            # the unmarked wrapper takes the node-by-node path
+            differ = rows(fn).tobytes() != rows(lambda *a: fn(*a)).tobytes()
+        except Exception as exc:  # noqa: BLE001 - report, do not crash validation
+            out.append(f"batched {name} probe failed: {exc}")
+            continue
+        if differ:
+            out.append(f"{name} is marked batched, but its rows differ from its scalar calls")
     return out
 
 
@@ -284,12 +372,15 @@ def _paper_example(L_G=0.01, r_eff=1.0, u_constant=-1.0):
     """
     c = 1.0 - np.sin(5.0)
 
+    @batched
     def V(t, w_t, z):
-        return c - np.sin(w_t(-r_eff)[0]) + z
+        return c - np.sin(w_t(-r_eff)[..., 0]) + z[..., 0]
 
+    @batched
     def U(t, s, w_s):
-        return u_constant + np.cos(w_s(-r_eff)[0])
+        return u_constant + np.cos(w_s(-r_eff)[..., 0])
 
+    @batched
     def G(s, w_s):
         return L_G * w_s(0.0)
 
@@ -304,7 +395,7 @@ def _paper_example(L_G=0.01, r_eff=1.0, u_constant=-1.0):
         theta_offsets=[0.5],
         tau_offsets=[0.5],
         delay=r_eff,
-        history=lambda t: t,
+        history=batched(lambda t: t),
         horizon=2.0,
     )
     lip = LipschitzData(
@@ -323,15 +414,15 @@ def _pure_semigroup():
     problem = ImpulsiveProblem(
         dimension=1,
         generator=[[1.0]],
-        V=lambda t, w_t, z: 0.0,
-        U=lambda t, s, w_s: 0.0,
-        G=lambda s, w_s: 0.0,
+        V=batched(lambda t, w_t, z: np.zeros_like(t)),
+        U=batched(lambda t, s, w_s: np.zeros_like(s)),
+        G=batched(lambda s, w_s: np.zeros_like(s)),
         jump_maps=(),
         impulse_times=[],
         theta_offsets=[],
         tau_offsets=[],
         delay=1.0,
-        history=lambda t: 1.0,
+        history=batched(lambda t: np.ones_like(t)),
         horizon=2.0,
     )
     lip = LipschitzData(N_V=lambda t: 0.0, N_U=lambda t: 0.0, L_G=0.0)
@@ -343,15 +434,15 @@ def _method_of_steps(r=1.0):
     problem = ImpulsiveProblem(
         dimension=1,
         generator=[[0.0]],
-        V=lambda t, w_t, z: w_t(-r),
-        U=lambda t, s, w_s: 0.0,
-        G=lambda s, w_s: 0.0,
+        V=batched(lambda t, w_t, z: w_t(-r)),
+        U=batched(lambda t, s, w_s: np.zeros_like(s)),
+        G=batched(lambda s, w_s: np.zeros_like(s)),
         jump_maps=(),
         impulse_times=[],
         theta_offsets=[],
         tau_offsets=[],
         delay=r,
-        history=lambda t: 1.0,
+        history=batched(lambda t: np.ones_like(t)),
         horizon=2.0,
     )
     lip = LipschitzData(N_V=lambda t: 1.0, N_U=lambda t: 0.0, L_G=0.0)
@@ -362,14 +453,24 @@ def _windowed_impulse(L_G=0.05):
     """Planar problem with a genuine jump fed by a nonzero integration window."""
     A = [[0.0, 0.4], [-0.4, 0.0]]
 
+    @batched
     def V(t, w_t, z):
         return 0.3 * np.sin(w_t(-0.5)) + 0.2 * z
 
+    @batched
     def U(t, s, w_s):
         return 0.4 * np.tanh(w_s(-0.25))
 
+    @batched
     def G(s, w_s):
         return L_G * w_s(0.0)
+
+    @batched
+    def history(t):
+        out = np.empty(np.shape(t) + (2,))
+        out[..., 0] = 0.2 + 0.1 * t
+        out[..., 1] = -0.1
+        return out
 
     problem = ImpulsiveProblem(
         dimension=2,
@@ -382,7 +483,7 @@ def _windowed_impulse(L_G=0.05):
         theta_offsets=[0.1],
         tau_offsets=[0.3],
         delay=0.5,
-        history=lambda t: np.array([0.2 + 0.1 * t, -0.1]),
+        history=history,
         horizon=1.0,
     )
     lip = LipschitzData(
@@ -404,14 +505,17 @@ def _parameter_family(rho=1.0, mu=1.0):
     [0.5, 1.5], so one LipschitzData serves every instantiation.
     """
 
+    @batched
     def V(t, w_t, z):
-        return rho * (0.3 * np.sin(w_t(-0.5)[0]) + 0.2 * np.tanh(z[0]))
+        return rho * (0.3 * np.sin(w_t(-0.5)[..., 0]) + 0.2 * np.tanh(z[..., 0]))
 
+    @batched
     def U(t, s, w_s):
-        return 0.4 * np.sin(w_s(-0.25)[0])
+        return 0.4 * np.sin(w_s(-0.25)[..., 0])
 
+    @batched
     def G(s, w_s):
-        return mu * 0.1 * np.sin(w_s(0.0)[0])
+        return mu * 0.1 * np.sin(w_s(0.0)[..., 0])
 
     problem = ImpulsiveProblem(
         dimension=1,
@@ -424,7 +528,7 @@ def _parameter_family(rho=1.0, mu=1.0):
         theta_offsets=[0.1],
         tau_offsets=[0.4],
         delay=0.5,
-        history=lambda t: 0.4 * (1.0 + t),
+        history=batched(lambda t: 0.4 * (1.0 + t)),
         horizon=1.0,
     )
     lip = LipschitzData(

@@ -1,5 +1,11 @@
 """Composite trapezoid rule shared by the solver and the bounds: cumulative
-trapezoid, breakpoint grids, jump-window node sets and the Volterra sums of U."""
+trapezoid, breakpoint grids, jump-window node sets and the Volterra sums of U.
+
+The Volterra sums run column by column over U(t, sigma_i, w_sigma_i) for a U
+that depends on its outer time t. For a U that ignores t they take O(N) form
+over the rows u_i = U(s_i, s_i, w_{s_i}) (one array call for a `batched` U),
+adding the same terms in the same order, so the bits are the same.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ import math
 
 import numpy as np
 
-from .model import ImpulsiveProblem, as_state
+from .model import ImpulsiveProblem, as_state, node_rows
 
 __all__ = ["KernelU", "cumtrap", "segment_grid", "window_nodes", "volterra_rect", "volterra_tri"]
 
@@ -17,13 +23,15 @@ class KernelU:
 
     The first call probes whether U broadcasts over its time argument (and
     cross-checks two rows against scalar calls); if not, every later call
-    falls back to a scalar loop.
+    falls back to a scalar loop. A broadcasting U that returns one row for two
+    or more times ignores t, and `t_free` records that.
     """
 
     def __init__(self, problem: ImpulsiveProblem):
         self._U = problem.U
         self._n = problem.dimension
         self._mode = None
+        self.t_free = False
 
     def _loop(self, ts, s, seg):
         return np.stack([as_state(self._U(float(t), s, seg), self._n) for t in ts])
@@ -51,7 +59,8 @@ class KernelU:
         if self._mode == "scalar":
             return self._loop(ts, s, seg)
         try:
-            arr = self._normalize(self._U(ts, s, seg), T)
+            raw = self._U(ts, s, seg)
+            arr = self._normalize(raw, T)
         except Exception:
             if self._mode is None:
                 self._mode = "scalar"
@@ -65,7 +74,18 @@ class KernelU:
                 self._mode = "scalar"
                 return self._loop(ts, s, seg)
             self._mode = "batch"
+            self.t_free = T > 1 and np.size(raw) in (1, self._n)  # one row for all t
         return arr
+
+    def ignores_t(self, ts, s, seg) -> bool:
+        """Whether U ignores t; if U is not probed yet, probe it at (ts, s, seg)."""
+        if self._mode is None:
+            self(ts, s, seg)
+        return self.t_free
+
+    def rows(self, ss, segs) -> np.ndarray:
+        """u_i = U(s_i, s_i, w_{s_i}) for every node, for a U that ignores t."""
+        return node_rows(self._U, self._n, ss, segs, lead=2)
 
 
 def cumtrap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -100,6 +120,17 @@ def window_nodes(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.concatenate([[lo], nodes[i0:i1], [hi]])
 
 
+def _sequential_sum(weights, rows, skip):
+    """The prefix sums of 0 + w_0 u_0 + w_1 u_1 + ..., added in this order. The
+    +0.0 start is the zeros a column sweep adds into; a skipped term is -0.0,
+    the one addend that leaves every sum as it is."""
+    terms = np.empty((len(rows) + 1, rows.shape[1]))
+    terms[0] = 0.0
+    np.multiply(weights[:, None], rows, out=terms[1:])
+    terms[1:][skip] = -0.0
+    return np.cumsum(terms, axis=0)
+
+
 def volterra_rect(kernel, t_nodes, sigma_times, sigma_segs, n):
     """int over the whole sigma range of U(t, sigma, w_sigma), for every t."""
     out = np.zeros((len(t_nodes), n))
@@ -109,6 +140,10 @@ def volterra_rect(kernel, t_nodes, sigma_times, sigma_segs, n):
     w = np.zeros(len(sigma_times))
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
+    if kernel.ignores_t(t_nodes, sigma_times[0], sigma_segs[0]):
+        total = _sequential_sum(w, kernel.rows(sigma_times, sigma_segs), w == 0.0)[-1]
+        out[:] = total
+        return out
     for i, wi in enumerate(w):
         if wi == 0.0:
             continue
@@ -123,6 +158,15 @@ def volterra_tri(kernel, nodes, segs, n):
     if T < 2:
         return z
     d = np.diff(nodes)
+    if kernel.ignores_t(nodes, nodes[0], segs[0]):
+        # column i adds R_i = (d_i / 2) u_i to z[i+1:] and L_i = (d_{i-1} / 2) u_i
+        # to z[i:], so z[j] sums 0, R_0, L_1, R_1, ..., R_{j-1}, L_j in this order
+        u = kernel.rows(nodes, segs)
+        half = np.repeat(0.5 * d, 2)
+        terms = np.empty((2 * T - 2, n))
+        terms[0::2] = u[:-1]
+        terms[1::2] = u[1:]
+        return _sequential_sum(half, terms, np.repeat(d == 0.0, 2))[0::2]
     for i in range(T):
         left = d[i - 1] if i > 0 else 0.0
         right = d[i] if i < T - 1 else 0.0

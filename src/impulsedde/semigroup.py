@@ -31,6 +31,10 @@ class SemigroupBound:
             raise ValueError(f"M must be finite and >= 1, got {self.M}")
         if self.omega != 0.0:
             raise ValueError("omega is recorded as 0 on a finite horizon")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
+        if self.sample_count < 2:
+            raise ValueError(f"sample_count must be >= 2, got {self.sample_count}")
 
 
 def _check_square(A) -> np.ndarray:
@@ -88,6 +92,8 @@ def operator_norm_bound(A, horizon: float, samples: int = 1024) -> SemigroupBoun
     on states); M never drops below 1.
     """
     A = _check_square(A)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("generator has non-finite entries")
     horizon = float(horizon)
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")

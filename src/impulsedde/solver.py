@@ -7,8 +7,12 @@ Each inter-impulse segment [t_k, t_{k+1}] is solved as a fixed point of
 
 restarting from the jumped value after each impulse. The Duhamel integral uses
 the matrix-group identity T(t - s) = T(t - t_k) T(t_k - s), which turns the
-per-node quadrature into one cumulative sum; the double Volterra integral is
-accumulated column by column so no N x N matrix is ever materialized.
+per-node quadrature into one cumulative sum. Each sweep reads the delayed
+states of all its nodes through one `_Windows` view; a V or G marked
+`batched` is called once over all nodes, any other once per node
+(`node_rows`). The double Volterra integral is one O(N) cumulative sum for a
+U that ignores its outer time t and is accumulated column by column otherwise,
+so no N x N matrix is ever materialized.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ImpulsiveProblem, as_state, validate
+from .model import ImpulsiveProblem, as_state, node_rows, validate
 from .quadrature import KernelU, cumtrap, segment_grid, volterra_rect, volterra_tri, window_nodes
 from .semigroup import apply_stack, propagator_stack
-from .trajectory import PiecewiseTrajectory, _StateView, _Window
+from .trajectory import PiecewiseTrajectory, _StateView, _interp_sorted
 
 _segment_grid = segment_grid  # the old private name, still imported by tests/test_solver.py
 
@@ -96,13 +100,11 @@ def _integrate_G(problem: ImpulsiveProblem, view: _StateView, k: int) -> np.ndar
     if hi == lo:
         return np.zeros(n)
     times = window_nodes(view.times, lo, hi)
-    imp = problem.impulse_times
-    vals = np.empty((len(times), n))
-    for i, s in enumerate(times.tolist()):
-        # at an exact impulse time the integrand's one-sided value is the right limit
-        on_jump = bool(np.any(imp == s)) and s < hi
-        end = view.eval_right(s) if on_jump else None
-        vals[i] = as_state(problem.G(s, _Window(view, s, end)), n)
+    ends = _interp_sorted(view.times, view.values, times)
+    # at an exact impulse time the integrand's one-sided value is the right limit
+    for i in np.flatnonzero(np.isin(times, problem.impulse_times) & (times < hi)):
+        ends[i] = view.eval_right(float(times[i]))
+    vals = node_rows(problem.G, n, times, view.windows(times, ends))
     return np.trapezoid(vals, times, axis=0)
 
 
@@ -132,9 +134,8 @@ def volterra_term(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, t: float
     i1 = np.searchsorted(traj.main_times, t, side="left")
     times = np.concatenate([traj.main_times[:i1], [t]])
     values = np.concatenate([traj.main_values[:i1], [view.eval_left(t)]])
-    segs = [_Window(view, s, end) for s, end in zip(times.tolist(), values)]
     kernel = KernelU(problem)
-    return volterra_rect(kernel, np.array([t]), times, segs, n)[0]
+    return volterra_rect(kernel, np.array([t]), times, view.windows(times, values), n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +148,11 @@ def _mild_map(problem, kernel, view, times, values, fwd, bwd, w0, z_rect=None):
     n = problem.dimension
     # the stored node value is the correct one-sided sample at theta = 0
     # (post-jump at a segment start, interior values elsewhere)
-    segs = [_Window(view, s, end) for s, end in zip(times.tolist(), values)]
+    segs = view.windows(times, values)
     z = volterra_tri(kernel, times, segs, n)
     if z_rect is not None:
         z = z_rect + z
-    v = np.empty((len(times), n))
-    for i in range(len(times)):
-        v[i] = as_state(problem.V(float(times[i]), segs[i], z[i]), n)
+    v = node_rows(problem.V, n, times, segs, z)
     return apply_stack(fwd, w0[None, :] + cumtrap(times, apply_stack(bwd, v)))
 
 
@@ -199,8 +198,7 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
 
     # the prefix part of the inner integral is iterate-independent
     if len(pre_t):
-        pre_segs = [_Window(prefix._view, s, end) for s, end in zip(pre_t.tolist(), pre_v)]
-        z_rect = volterra_rect(kernel, times, pre_t, pre_segs, n)
+        z_rect = volterra_rect(kernel, times, pre_t, prefix._view.windows(pre_t, pre_v), n)
     else:
         z_rect = np.zeros((T, n))
 

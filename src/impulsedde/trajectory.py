@@ -62,7 +62,8 @@ class HistorySegment:
 
     Evaluation between samples is linear; the sample grid runs from -r to 0.
     The solver hands kernels `_Window`s, which read a trajectory's node
-    arrays in place and build `theta_grid` and `values` only when asked.
+    arrays in place and build `theta_grid` and `values` only when asked;
+    kernels marked `batched` get one `_Windows` that reads every node's window.
     """
 
     theta_grid: np.ndarray
@@ -162,6 +163,11 @@ class _StateView:
         frac = (t - grid[i]) / (grid[i + 1] - grid[i])
         return vals[i] + frac * (vals[i + 1] - vals[i])
 
+    def windows(self, times: np.ndarray, ends=None) -> "_Windows":
+        """The windows w_t for every t in `times` (each in [view start + r, view end]),
+        read together; `ends` holds the theta = 0 rows (w(t^-) when None)."""
+        return _Windows(self, times, ends)
+
 
 class _Window(HistorySegment):
     """w_t read from a view's shared node arrays instead of a copied sample grid.
@@ -230,6 +236,95 @@ class _Window(HistorySegment):
         gb, vb = (nodes[j + 1] - t, vals[j + 1]) if j + 1 < j1 else (0.0, self._high)
         frac = (theta - ga) / (gb - ga)
         return va + frac * (vb - va)
+
+
+class _Windows:
+    """The `_Window`s at every t of `times`, read together as one (T, n) array.
+
+    Row i of `W(theta)` is `_Window(view, times[i], ends[i])(theta)` bit for
+    bit: one searchsorted over the view's node arrays, the same bracket
+    corrections in theta-space, the same sentinels at theta = -r and 0 and the
+    same interpolation, element by element. `W[i]` is that scalar `_Window`,
+    for kernels that are called node by node.
+    """
+
+    def __init__(self, view: _StateView, times: np.ndarray, ends=None):
+        nodes, r = view.node_times, view.delay
+        last = len(nodes) - 1
+        j0 = np.searchsorted(nodes, times - r, side="right")
+        j1 = np.maximum(np.searchsorted(nodes, times, side="left"), j0)
+        # a node one ulp inside the window can round onto theta = -r
+        while True:
+            inside = (j0 < j1) & (nodes[np.minimum(j0, last)] - times <= -r)
+            if not inside.any():
+                break
+            j0 += inside
+        self._view, self.times, self._ends, self._j0, self._j1 = view, times, ends, j0, j1
+        self._singles = [None] * len(times)
+
+    def __getitem__(self, i: int) -> _Window:
+        window = self._singles[i]
+        if window is None:
+            end = None if self._ends is None else self._ends[i]
+            window = self._singles[i] = _Window(self._view, float(self.times[i]), end)
+        return window
+
+    @cached_property
+    def _low(self) -> np.ndarray:
+        view = self._view
+        return _interp_sorted(view.times, view.values, self.times - view.delay)
+
+    @cached_property
+    def _high(self) -> np.ndarray:
+        if self._ends is not None:
+            return np.asarray(self._ends, dtype=float)
+        view = self._view
+        return _interp_sorted(view.times, view.values, self.times)
+
+    def __call__(self, theta) -> np.ndarray:
+        if type(theta) is not float:
+            if np.ndim(theta) != 0:
+                raise TypeError("batched windows are read at one theta at a time")
+            theta = float(theta)
+        view, ts = self._view, self.times
+        r = view.delay
+        pad = _EDGE_TOL * (1.0 + r)
+        if theta < -r - pad or theta > pad:
+            raise ValueError(f"theta={theta} outside [{-r}, 0]")
+        if theta < -r:
+            return self._low.copy()
+        if not theta < 0.0:  # NaN too, as in _Window.__call__
+            return self._high.copy()
+        nodes, vals, j0, j1 = view.node_times, view.node_values, self._j0, self._j1
+        last = len(nodes) - 1
+        j = np.minimum(np.maximum(np.searchsorted(nodes, ts + theta, side="right"), j0), j1) - 1
+        ja, jb = np.maximum(j, 0), np.minimum(j + 1, last)
+        ga, gb = nodes[ja] - ts, nodes[jb] - ts
+        if ((gb <= theta) & (j + 1 < j1)).any() or ((ga > theta) & (j >= j0)).any():
+            # t + theta was rounded: settle the brackets as _Window.__call__ does
+            while True:
+                up = (j + 1 < j1) & (nodes[np.minimum(j + 1, last)] - ts <= theta)
+                if not up.any():
+                    break
+                j += up
+            while True:
+                down = (j >= j0) & (nodes[np.maximum(j, 0)] - ts > theta)
+                if not down.any():
+                    break
+                j -= down
+            ja, jb = np.maximum(j, 0), np.minimum(j + 1, last)
+            ga, gb = nodes[ja] - ts, nodes[jb] - ts
+        va, vb = vals[ja], vals[jb]
+        below = j < j0  # theta lies before the window's first node
+        if below.any():
+            ga[below] = -r
+            va[below] = self._low[below]
+        above = j + 1 >= j1  # theta lies past the window's last node
+        if above.any():
+            gb[above] = 0.0
+            vb[above] = self._high[above]
+        frac = (theta - ga) / (gb - ga)
+        return va + frac[:, None] * (vb - va)
 
 
 @dataclass(frozen=True)

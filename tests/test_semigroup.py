@@ -106,3 +106,20 @@ class TestOperatorNormBound:
             operator_norm_bound([[1.0]], value)
         with pytest.raises(ValueError, match="M must be finite"):
             SemigroupBound(M=value, omega=0.0, horizon=1.0, sample_count=2)
+
+
+@pytest.mark.parametrize("A", [[[float("nan")]], [[1.0, float("inf")], [0.0, 1.0]],
+                               [[-float("inf")]]])
+def test_non_finite_generator_rejected(A):
+    # such generators used to give M = 1.000001
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norm_bound(A, 1.0)
+
+
+@pytest.mark.parametrize("horizon, sample_count", [
+    (float("nan"), 2), (float("inf"), 2), (-1.0, 2), (0.0, 2), (1.0, 1), (1.0, 0), (-1.0, 0)])
+def test_bound_rejects_bad_horizon_and_sample_count(horizon, sample_count):
+    # a NaN horizon used to pass existence_certificate's horizon check
+    with pytest.raises(ValueError, match="horizon|sample_count"):
+        SemigroupBound(M=1.0, omega=0.0, horizon=horizon, sample_count=sample_count)
+    SemigroupBound(M=1.0, omega=0.0, horizon=1.0, sample_count=2)
