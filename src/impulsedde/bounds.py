@@ -20,11 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ImpulsiveProblem, LipschitzData, as_state
+from .model import ImpulsiveProblem, LipschitzData, as_state, batched, node_rows
 from .quadrature import KernelU, cumtrap, segment_grid, volterra_tri, window_nodes
 from .semigroup import SemigroupBound
 from .solver import Discretization, PicardControl, solve_mild
-from .trajectory import HistorySegment, sigma_diff
+from .trajectory import _StateView, sigma_diff
 
 __all__ = [
     "PachpatteInstance",
@@ -52,22 +52,13 @@ class DivergenceError(RuntimeError):
 
 
 def _sample(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    """fn at each x of the 1-D array xs, as floats.
-
-    From 3 points on, one array call fn(xs) is kept if it has xs's shape (a
-    scalar result is broadcast as a constant) and equals scalar calls at both
-    ends bit for bit; otherwise, as for shorter arrays, fn is called per point.
-    """
-    if len(xs) >= 3:
-        try:  # on any failure fall back: the loop raises what scalar calls raise
-            out = np.asarray(fn(xs.copy()))  # a copy: fn must not write into the caller's grid
-            ends = [float(fn(float(xs[0]))), float(fn(float(xs[-1])))]
-        except Exception:
-            out = None
-        if out is not None and out.dtype.kind in "biuf" and out.shape in ((), xs.shape):
-            out = np.array(np.broadcast_to(out, xs.shape), dtype=float)
-            if np.array_equal(out[[0, -1]], ends):
-                return out
+    """fn at each x of the 1-D array xs, as floats: one call on a copy of xs when
+    fn is marked `batched` (it must return xs's shape), else one call per point."""
+    if getattr(fn, "batched", False):
+        out = np.asarray(fn(xs.copy()), dtype=float)  # a copy: fn must not write into xs
+        if out.shape != xs.shape:
+            raise ValueError(f"a batched callable returned shape {out.shape} for times {xs.shape}")
+        return out
     return np.array([float(fn(float(x))) for x in xs])
 
 
@@ -156,9 +147,9 @@ class PachpatteInstance:
         (one `_sample` call each for all off-node t)."""
         xs = self.grid
         _, gv, G, phi, F = self._tables
-        i = np.maximum(np.searchsorted(xs, ts, side="right") - 1, 0)
+        i = np.maximum(xs.searchsorted(ts, side="right") - 1, 0)
         out = F[i]
-        off = np.flatnonzero((xs[i] != ts) & (i != len(xs) - 1))
+        off = np.nonzero((xs[i] != ts) & (i != len(xs) - 1))[0]
         t, i = ts[off], i[off]
         G_t = G[i] + 0.5 * (t - xs[i]) * (gv[i] + _sample(self.g, t))
         out[off] = F[i] + 0.5 * (t - xs[i]) * (phi[i] + _sample(self.f, t) * (1.0 + G_t))
@@ -235,7 +226,7 @@ def pachpatte_curve(inst: PachpatteInstance, ts) -> np.ndarray:
         raise ValueError(f"t={bad[0]} outside [0, {inst.horizon}]")
     # strictly-before count: u is left-continuous at t_k, so at t = t_k the
     # resolved alpha must match the product's strict index set
-    alpha = np.searchsorted(inst.impulse_times, ts, side="left")
+    alpha = inst.impulse_times.searchsorted(ts, side="left")
     F_alpha, prods = inst._alpha_tables
     expo = (inst._F_at(ts) - F_alpha[alpha]).tolist()
     # math.exp per element: np.exp rounds some inputs differently, changing output bits
@@ -247,7 +238,7 @@ def pachpatte_bound(inst: PachpatteInstance, t: float) -> BoundReport:
     should call `pachpatte_curve` once instead."""
     t = float(t)
     value = float(pachpatte_curve(inst, np.array([t]))[0])
-    alpha = int(np.searchsorted(inst.impulse_times, t, side="left"))
+    alpha = int(inst.impulse_times.searchsorted(t, side="left"))
     return BoundReport(Ck=inst.Ck_values, alpha_index=alpha, value=value)
 
 
@@ -336,9 +327,11 @@ def _reduction_instance(problem: ImpulsiveProblem, lip: LipschitzData, sg: Semig
         NV, LG = lip.N_V, lip.L_G
     M = sg.M
     beta = np.array([M * LG * d for d in lip.D_k])
+    marked = getattr(NV, "batched", False)
+    f = batched(lambda t: M * NV(t)) if marked else (lambda t: M * float(NV(t)))
     return PachpatteInstance(
-        n=lambda t: 1.0,
-        f=lambda t, NV=NV: M * float(NV(t)),
+        n=batched(lambda t: np.ones(np.shape(t))),
+        f=f,
         g=lip.N_U,
         impulse_times=problem.impulse_times,
         beta=beta,
@@ -357,16 +350,13 @@ def _growth_tail(inst: PachpatteInstance, t_query: float) -> float:
     return float(prods[alpha]) * math.exp(F_b - F_alpha[alpha])
 
 
-def _zero_segment(problem: ImpulsiveProblem) -> HistorySegment:
-    return HistorySegment(np.array([-problem.delay, 0.0]), np.zeros((2, problem.dimension)))
-
-
 def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBound,
                   disc: Discretization = Discretization()) -> float:
     """Uniform bound on the solution's sigma norm.
 
     K = (M ||history|| + H + Q) * prod_k C_k * exp(int_{t_m}^b M N_V [1 + int N_U]),
     H integrating the zero-state forcing of V and Q summing the zero-state jumps.
+    The kernels read the zero state through the solver's windows and adapters.
     """
     n = problem.dimension
     M = sg.M
@@ -376,10 +366,10 @@ def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBo
     hist_t = segment_grid(-problem.delay, 0.0, disc.step)
     varsigma_norm = float(np.max(np.abs(problem.history_values(hist_t))))
 
-    zero_seg = _zero_segment(problem)
-    z0 = volterra_tri(KernelU(problem), xs, [zero_seg] * len(xs), n)
-    v0 = np.array([np.max(np.abs(as_state(problem.V(float(s), zero_seg, z0[i]), n)))
-                   for i, s in enumerate(xs)])
+    zero = _StateView(problem.delay, np.array([-problem.delay, problem.horizon]), np.zeros((2, n)))
+    windows = zero.windows(xs)
+    z0 = volterra_tri(KernelU(problem), xs, windows, n)
+    v0 = np.max(np.abs(node_rows(problem.V, n, xs, windows, z0)), axis=1)
     H = M * float(np.trapezoid(v0, xs))
 
     Q = 0.0
@@ -387,8 +377,7 @@ def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBo
         lo, hi = problem.jump_window(k)
         if hi > lo:
             times = window_nodes(xs, lo, hi)
-            gv = np.stack([as_state(problem.G(float(s), zero_seg), n) for s in times])
-            wI = np.trapezoid(gv, times, axis=0)
+            wI = np.trapezoid(node_rows(problem.G, n, times, zero.windows(times)), times, axis=0)
         else:
             wI = np.zeros(n)
         Q += M * float(np.max(np.abs(as_state(problem.jump_maps[k - 1](wI), n))))
@@ -497,15 +486,14 @@ def random_instance(rng: np.random.Generator, max_impulses: int = 3,
         amp = float(rng.uniform(0.1, hi_amp))
         freq = float(rng.uniform(0.5, 3.0))
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        # broadcasts over arrays of t; float_power rounds as Python's float **
-        # does (libm pow), while numpy's ** 2 squares arrays and rounds about 1
-        # sample in 1,000 differently
-        return lambda t: base + amp * np.float_power(np.sin(freq * t + phase), 2.0)
+        # float_power rounds as Python's float ** does (libm pow), while numpy's
+        # ** 2 squares arrays and rounds about 1 sample in 1,000 differently
+        return batched(lambda t: base + amp * np.float_power(np.sin(freq * t + phase), 2.0))
 
     c0 = float(rng.uniform(0.5, 2.0))
     c1 = float(rng.uniform(0.0, 1.0))
     return PachpatteInstance(
-        n=lambda t: c0 + c1 * t,
+        n=batched(lambda t: c0 + c1 * t),
         f=smooth(0.3, 0.7),
         g=smooth(0.3, 0.7),
         impulse_times=tk,

@@ -10,9 +10,9 @@ Configuration is a YAML file whose sections mirror RunConfig:
     discretization: {step: 1.0e-3, quadrature: trapezoid}
     picard: {tolerance: 1.0e-10, max_iterations: 200, initial_iterate: constant}
 
-Unknown keys anywhere in the file are hard errors. Exit codes: 0 success/PASS,
-2 usage or config error, 3 certificate FAIL, 4 solver non-convergence,
-5 inequality violation beyond tolerance.
+Unknown keys anywhere in the file, and values not of the key's type, are hard
+errors. Exit codes: 0 success/PASS, 2 usage or config error, 3 certificate
+FAIL, 4 solver non-convergence, 5 inequality violation beyond tolerance.
 """
 
 from __future__ import annotations
@@ -88,18 +88,30 @@ _SCHEMA = {
 }
 
 
-def _reject_unknown(data: dict, schema: dict, prefix: str = ""):
+def _has_type(value, kind) -> bool:
+    if kind is float and isinstance(value, str):  # YAML 1.1 reads 1e-3 (no dot) as a string
+        try:
+            float(value)
+        except ValueError:
+            return False
+        return True
+    numeric = (int, float) if kind is float else kind
+    return not isinstance(value, bool) and isinstance(value, numeric)
+
+
+def _check_schema(data: dict, schema: dict, prefix: str = ""):
+    """Reject unknown keys and values that are not of the declared type."""
     for key, value in data.items():
         path = f"{prefix}{key}"
         if key not in schema:
             raise ConfigError(f"unknown key: {path}")
-        spec = schema[key]
-        if isinstance(spec, dict) and spec is not dict:
+        kind = schema[key]
+        if isinstance(kind, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{path} must be a mapping")
-            if spec == dict:
-                continue
-            _reject_unknown(value, spec, prefix=f"{path}.")
+            _check_schema(value, kind, prefix=f"{path}.")
+        elif not _has_type(value, kind):
+            raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
 
 
 def load_config(path: str) -> RunConfig:
@@ -114,12 +126,11 @@ def load_config(path: str) -> RunConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    _reject_unknown(data, _SCHEMA)
+    _check_schema(data, _SCHEMA)
     problem = data.get("problem", {})
-    if isinstance(problem.get("parameters"), dict):
-        for key, value in problem["parameters"].items():
-            if not isinstance(value, (int, float)):
-                raise ConfigError(f"problem.parameters.{key} must be a number")
+    for key, value in problem.get("parameters", {}).items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"problem.parameters.{key} must be a number")
     disc = data.get("discretization", {})
     picard = data.get("picard", {})
 

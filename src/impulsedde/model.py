@@ -7,19 +7,21 @@ An ImpulsiveProblem bundles everything that defines
     w(t_k^+) - w(t_k^-) = I_k( int_{t_k - tau_k}^{t_k - theta_k} G(s, w_s) ds ),
 
 with state space R^n under the sup norm. Kernels receive the delayed state as a
-HistorySegment. U may additionally be called with a 1-D array as its first
-argument (the outer time) and should then broadcast; the solver exploits this
-and falls back to scalar calls when it does not hold. A U that returns one row
-for a vector of times declares that it ignores t.
+HistorySegment.
 
-V, U, G and the history may be marked with `batched`. The solver then calls
-each once over all T nodes of a sweep: V(ts, W, z), U(ss, ss, W), G(ss, W)
-and history(ts), with ts, ss of shape (T,), z of shape (T, n) and a window
-W(theta) -> (T, n) whose row i is w_{ts[i]}(theta). Each returns (T, n), or
-(T,) when n = 1. Unmarked kernels are called node by node (`node_rows`), so
-scalar kernels keep working; `validate` checks that a marked kernel's rows
-equal its scalar calls bit for bit. The catalog's kernels are all marked and
-written shape-generically (`w(theta)[..., 0]`, not `w(theta)[0]`).
+V, U, G and the history may be marked with `batched`, and the mark alone decides
+whether they are called on arrays: once over all T nodes, as V(ts, W, z),
+U(ss, ss, W), G(ss, W) and history(ts), with ts, ss of shape (T,), z of shape
+(T, n) and a window W(theta) -> (T, n) whose row i is w_{ts[i]}(theta). Each
+returns (T, n), or (T,) when n = 1. Unmarked kernels are called node by node
+(`node_rows`); `validate` checks that a marked kernel's rows equal its scalar
+calls bit for bit. The catalog's kernels and constant Lipschitz moduli are all
+marked and shape-generic (`w(theta)[..., 0]`, not `w(theta)[0]`).
+
+Whether U broadcasts over its outer time t is found by one probe (`probe_t`,
+run by `quadrature.KernelU` and `validate`): a vector-t call checked against
+scalar calls at both ends. A U that returns one row for a vector of times
+declares that it ignores t.
 
 All callables must be pure; instances are immutable and safe to share between
 threads.
@@ -76,25 +78,44 @@ def as_rows(x, T: int, n: int) -> np.ndarray:
     raise ValueError(f"expected ({T}, {n}) rows from a batched kernel, got shape {a.shape}")
 
 
-def node_rows(kernel, n: int, times: np.ndarray, windows, *tail, lead: int = 1) -> np.ndarray:
-    """The kernel at every node: `lead` copies of the node time, its window, then
-    row i of each `tail` array. A marked kernel reading `_Windows` is called
-    once over all nodes; any other kernel once per node on scalar windows."""
-    if getattr(kernel, "batched", False) and isinstance(windows, _Windows):
-        return as_rows(kernel(*(times,) * lead, windows, *tail), len(times), n)
+def node_rows(kernel, n: int, times: np.ndarray, *args, lead: int = 1) -> np.ndarray:
+    """The kernel at every node: `lead` copies of the node time, then row i of
+    each of `args` (the node's window first for V, U and G; none for the
+    history). A marked kernel is called once over all nodes, unless its window
+    is not a `_Windows`; any other kernel once per node."""
+    if getattr(kernel, "batched", False) and (not args or isinstance(args[0], _Windows)):
+        return as_rows(kernel(*(times,) * lead, *args), len(times), n)
     rows = np.empty((len(times), n))
-    for i, t in enumerate(times.tolist()):
-        rows[i] = as_state(kernel(*(t,) * lead, windows[i], *(a[i] for a in tail)), n)
+    for i, node in enumerate(zip(*[times.tolist()] * lead, *args, strict=True)):
+        rows[i] = as_state(kernel(*node), n)
     return rows
 
 
-def _history_rows(history, times: np.ndarray, n: int) -> np.ndarray:
-    if getattr(history, "batched", False):
-        return as_rows(history(times), len(times), n)
-    rows = np.empty((len(times), n))
-    for i, t in enumerate(times.tolist()):
-        rows[i] = as_state(history(t), n)
-    return rows
+def t_rows(raw, T: int, n: int) -> np.ndarray:
+    """U's result for a vector of T outer times as (T, n) rows; one row (shape
+    (n,) or (1, n), or a scalar when n = 1) holds for every t."""
+    a = np.asarray(raw, dtype=float)
+    if a.shape == (T, n) or n == 1 and a.shape == (T,):
+        return a.reshape(T, n)
+    if a.shape in ((n,), (1, n)) or n == 1 and a.shape == ():
+        return np.broadcast_to(a.reshape(1, n), (T, n))
+    raise ValueError(f"cannot read U's output of shape {a.shape} as ({T}, {n}) rows")
+
+
+def probe_t(U, ts: np.ndarray, s: float, seg, n: int):
+    """One call U(ts, s, seg) over a vector of outer times against scalar calls at
+    both ends: None when it raises or gives another shape, else (rows, whether
+    it gave one row for T >= 2 times, whether the end rows agree within 1e-10)."""
+    try:
+        raw = U(ts, s, seg)
+        rows = t_rows(raw, len(ts), n)
+    except Exception:  # noqa: BLE001 - scalar-only kernels are allowed
+        return None
+    first = as_state(U(float(ts[0]), s, seg), n)
+    last = as_state(U(float(ts[-1]), s, seg), n)
+    tol = 1e-10 * (1.0 + max(np.max(np.abs(first)), np.max(np.abs(last))))
+    agrees = not (np.max(np.abs(rows[0] - first)) > tol or np.max(np.abs(rows[-1] - last)) > tol)
+    return rows, len(ts) > 1 and np.size(raw) == n, agrees
 
 
 @dataclass(frozen=True)
@@ -134,7 +155,7 @@ class ImpulsiveProblem:
 
     def history_values(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return _history_rows(self.history, times, self.dimension)
+        return node_rows(self.history, self.dimension, times)
 
 
 @dataclass(frozen=True)
@@ -281,20 +302,11 @@ def validate(problem: ImpulsiveProblem) -> list:
     except Exception as exc:
         out.append(f"V probe failed: {exc}")
     try:
-        u_scalar = as_state(problem.U(0.0, 0.0, seg), n)
-        half = 0.5 * problem.horizon
-        u_scalar2 = as_state(problem.U(half, 0.0, seg), n)
-        try:
-            batched = np.asarray(problem.U(np.array([0.0, half]), 0.0, seg), dtype=float)
-        except Exception:
-            batched = None  # scalar-only kernels are allowed
-        if batched is not None and batched.size >= 1:
-            b0 = _batch_row(batched, 0, 2, n)
-            b1 = _batch_row(batched, 1, 2, n)
-            if b0 is not None and b1 is not None:
-                tol = 1e-10 * (1.0 + max(np.max(np.abs(u_scalar)), np.max(np.abs(u_scalar2))))
-                if np.max(np.abs(b0 - u_scalar)) > tol or np.max(np.abs(b1 - u_scalar2)) > tol:
-                    out.append("U broadcasts over its time argument but disagrees with scalar calls")
+        probe = probe_t(problem.U, np.array([0.0, 0.5 * problem.horizon]), 0.0, seg, n)
+        if probe is None:  # scalar-only kernels are allowed
+            as_state(problem.U(0.0, 0.0, seg), n)
+        elif not probe[2]:
+            out.append("U broadcasts over its time argument but disagrees with scalar calls")
     except Exception as exc:
         out.append(f"U probe failed: {exc}")
     try:
@@ -318,7 +330,7 @@ def _batched_probe(problem: ImpulsiveProblem) -> list:
     thetas = np.linspace(-r, 0.0, 9)
     thetas[-1] = 0.0
     try:  # scalar calls: the wrapper carries no mark
-        hist = _history_rows(lambda t: problem.history(t), thetas, n)
+        hist = node_rows(lambda t: problem.history(t), n, thetas)
     except Exception as exc:  # noqa: BLE001 - a marked history may fail on scalars
         return [f"batched history probe failed: {exc}"]
     ts = np.array([0.0, 0.25 * r, 0.5 * r])
@@ -329,7 +341,7 @@ def _batched_probe(problem: ImpulsiveProblem) -> list:
         "V": lambda f: node_rows(f, n, ts, windows, ends),
         "U": lambda f: node_rows(f, n, ts, windows, lead=2),
         "G": lambda f: node_rows(f, n, ts, windows),
-        "history": lambda f: _history_rows(f, thetas[4::2], n),
+        "history": lambda f: node_rows(f, n, thetas[4::2]),
     }
     out = []
     for name, rows in probes.items():
@@ -347,21 +359,12 @@ def _batched_probe(problem: ImpulsiveProblem) -> list:
     return out
 
 
-def _batch_row(batched: np.ndarray, i: int, length: int, n: int):
-    """Row i of a batched kernel result, or None if the shape is not batched."""
-    if batched.ndim == 0:
-        return np.full(n, float(batched))
-    if batched.shape == (length, n):
-        return batched[i]
-    if n == 1 and batched.shape == (length,):
-        return batched[i : i + 1]
-    if batched.shape == (n,) and n != length:
-        return batched
-    return None
-
-
 # ---------------------------------------------------------------------------
 # catalog
+
+def _constant(c: float):
+    """A constant Lipschitz modulus t -> c, marked and shape-generic."""
+    return batched(lambda t: np.full(np.shape(t), c))
 
 def _paper_example(L_G=0.01, r_eff=1.0, u_constant=-1.0):
     """Scalar Volterra delay problem with one zero-width integral impulse.
@@ -399,8 +402,8 @@ def _paper_example(L_G=0.01, r_eff=1.0, u_constant=-1.0):
         horizon=2.0,
     )
     lip = LipschitzData(
-        N_V=lambda t: 1.0,
-        N_U=lambda t: 1.0,
+        N_V=_constant(1.0),
+        N_U=_constant(1.0),
         L_G=L_G,
         D_k=(1.0,),
         P=0.0,
@@ -425,7 +428,7 @@ def _pure_semigroup():
         history=batched(lambda t: np.ones_like(t)),
         horizon=2.0,
     )
-    lip = LipschitzData(N_V=lambda t: 0.0, N_U=lambda t: 0.0, L_G=0.0)
+    lip = LipschitzData(N_V=_constant(0.0), N_U=_constant(0.0), L_G=0.0)
     return problem, lip
 
 
@@ -445,7 +448,7 @@ def _method_of_steps(r=1.0):
         history=batched(lambda t: np.ones_like(t)),
         horizon=2.0,
     )
-    lip = LipschitzData(N_V=lambda t: 1.0, N_U=lambda t: 0.0, L_G=0.0)
+    lip = LipschitzData(N_V=_constant(1.0), N_U=_constant(0.0), L_G=0.0)
     return problem, lip
 
 
@@ -487,8 +490,8 @@ def _windowed_impulse(L_G=0.05):
         horizon=1.0,
     )
     lip = LipschitzData(
-        N_V=lambda t: 0.3,
-        N_U=lambda t: 0.4,
+        N_V=_constant(0.3),
+        N_U=_constant(0.4),
         L_G=L_G,
         D_k=(0.8,),
         P=0.0,
@@ -532,13 +535,13 @@ def _parameter_family(rho=1.0, mu=1.0):
         horizon=1.0,
     )
     lip = LipschitzData(
-        N_V=lambda t: 0.3 * abs(rho),
-        N_U=lambda t: 0.4,
+        N_V=_constant(0.3 * abs(rho)),
+        N_U=_constant(0.4),
         L_G=0.1 * abs(mu),
         D_k=(0.5,),
         Omega_1=0.5,
         Omega_2=0.1,
-        N_V_tilde=lambda t: 0.45,
+        N_V_tilde=_constant(0.45),
         L_G_tilde=0.15,
         N_k=(0.0,),
     )

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .model import ImpulsiveProblem, as_state, node_rows
+from .model import ImpulsiveProblem, as_state, node_rows, probe_t, t_rows
 
 __all__ = ["KernelU", "cumtrap", "segment_grid", "window_nodes", "volterra_rect", "volterra_tri"]
 
@@ -21,10 +21,10 @@ __all__ = ["KernelU", "cumtrap", "segment_grid", "window_nodes", "volterra_rect"
 class KernelU:
     """Evaluates U over a vector of outer times.
 
-    The first call probes whether U broadcasts over its time argument (and
-    cross-checks two rows against scalar calls); if not, every later call
-    falls back to a scalar loop. A broadcasting U that returns one row for two
-    or more times ignores t, and `t_free` records that.
+    The first call probes whether U broadcasts over its time argument
+    (`model.probe_t`: one vector-t call, checked against scalar calls at both
+    ends); if not, every later call is a scalar loop. A broadcasting U that
+    returns one row for two or more times ignores t, and `t_free` records that.
     """
 
     def __init__(self, problem: ImpulsiveProblem):
@@ -33,49 +33,18 @@ class KernelU:
         self._mode = None
         self.t_free = False
 
-    def _loop(self, ts, s, seg):
-        return np.stack([as_state(self._U(float(t), s, seg), self._n) for t in ts])
-
-    def _normalize(self, raw, T):
-        arr = np.asarray(raw, dtype=float)
-        n = self._n
-        if arr.ndim == 0:
-            return np.full((T, n), float(arr))
-        if arr.shape == (T, n):
-            return arr
-        if n == 1:
-            if arr.shape == (T,):
-                return arr[:, None]
-            if arr.shape in ((1,), (1, 1)):
-                return np.full((T, 1), float(arr.reshape(())))
-        if arr.shape == (n,):
-            return np.broadcast_to(arr, (T, n)).copy()
-        raise ValueError(f"cannot interpret batched kernel output of shape {arr.shape}")
-
     def __call__(self, ts, s, seg) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        T = len(ts)
         s = float(s)
-        if self._mode == "scalar":
-            return self._loop(ts, s, seg)
-        try:
-            raw = self._U(ts, s, seg)
-            arr = self._normalize(raw, T)
-        except Exception:
-            if self._mode is None:
-                self._mode = "scalar"
-                return self._loop(ts, s, seg)
-            raise
         if self._mode is None:
-            first = as_state(self._U(float(ts[0]), s, seg), self._n)
-            last = as_state(self._U(float(ts[-1]), s, seg), self._n)
-            tol = 1e-10 * (1.0 + max(np.max(np.abs(first)), np.max(np.abs(last))))
-            if np.max(np.abs(arr[0] - first)) > tol or np.max(np.abs(arr[-1] - last)) > tol:
-                self._mode = "scalar"
-                return self._loop(ts, s, seg)
-            self._mode = "batch"
-            self.t_free = T > 1 and np.size(raw) in (1, self._n)  # one row for all t
-        return arr
+            probe = probe_t(self._U, ts, s, seg, self._n)
+            if probe is not None and probe[2]:
+                self._mode, self.t_free = "batch", probe[1]
+                return probe[0]
+            self._mode = "scalar"
+        if self._mode == "batch":
+            return t_rows(self._U(ts, s, seg), len(ts), self._n)
+        return np.stack([as_state(self._U(float(t), s, seg), self._n) for t in ts])
 
     def ignores_t(self, ts, s, seg) -> bool:
         """Whether U ignores t; if U is not probed yet, probe it at (ts, s, seg)."""

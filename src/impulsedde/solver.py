@@ -27,8 +27,6 @@ from .quadrature import KernelU, cumtrap, segment_grid, volterra_rect, volterra_
 from .semigroup import apply_stack, propagator_stack
 from .trajectory import PiecewiseTrajectory, _StateView, _interp_sorted
 
-_segment_grid = segment_grid  # the old private name, still imported by tests/test_solver.py
-
 __all__ = [
     "Discretization",
     "PicardControl",

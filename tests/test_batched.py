@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impulsedde import (Discretization, PiecewiseTrajectory, batched, build_catalog,
-                        get_entry, solve_mild, validate, volterra_term, window_integral)
+from impulsedde import (Discretization, PiecewiseTrajectory, apriori_bound, batched,
+                        build_catalog, get_entry, operator_norm_bound, solve_mild, validate,
+                        volterra_term, window_integral)
 from impulsedde.quadrature import KernelU, volterra_rect, volterra_tri
 from impulsedde.trajectory import _EDGE_TOL, _Window
 from test_window import HORIZON, thetas_for, trajectories
@@ -129,6 +130,44 @@ def test_marked_catalog_solves_equal_unmarked(name, step):
     assert outputs(problem, step) == outputs(unmarked(problem), step)
 
 
+def unmarked_lipschitz(lip):
+    def plain(fn):
+        return None if fn is None else (lambda t: fn(t))
+
+    return replace(lip, N_V=plain(lip.N_V), N_U=plain(lip.N_U), N_V_tilde=plain(lip.N_V_tilde))
+
+
+@pytest.mark.parametrize("step", [5e-3, 1e-3])
+@pytest.mark.parametrize("name", [e.name for e in build_catalog()])
+def test_marked_catalog_apriori_equals_unmarked(name, step):
+    entry = get_entry(name)
+    problem, lip = entry.problem, entry.lipschitz
+    sg = operator_norm_bound(problem.generator, problem.horizon)
+    disc = Discretization(step=step)
+    marked = apriori_bound(problem, lip, sg, disc)
+    plain = apriori_bound(unmarked(problem), unmarked_lipschitz(lip), sg, disc)
+    assert marked.hex() == plain.hex()
+
+
+def test_apriori_calls_marked_kernels_once():
+    entry = get_entry("windowed_impulse")
+    problem = entry.problem
+    calls = []
+
+    def counted(name, fn):
+        def kernel(*args):
+            calls.append((name, np.shape(args[0])))
+            return fn(*args)
+        return batched(kernel)
+
+    sg = operator_norm_bound(problem.generator, problem.horizon)
+    counted_problem = replace(problem, V=counted("V", problem.V), G=counted("G", problem.G))
+    value = apriori_bound(counted_problem, entry.lipschitz, sg)
+    assert value == apriori_bound(problem, entry.lipschitz, sg)
+    assert [name for name, _ in calls] == ["V", "G"]
+    assert all(len(shape) == 1 and shape[0] > 2 for _, shape in calls)
+
+
 def test_marked_V_is_called_once_per_sweep():
     problem = get_entry("windowed_impulse").problem
     calls = []
@@ -239,6 +278,16 @@ def test_kernel_depending_on_t_keeps_the_column_sweep():
         vals = np.exp(-(nodes[j] - nodes[:j + 1])) * rows[:j + 1, 0]
         ref[j, 0] = np.trapezoid(vals, nodes[:j + 1])
     np.testing.assert_allclose(z, ref, rtol=1e-14, atol=1e-15)
+
+
+def test_kernel_disagreeing_with_its_scalar_calls_gets_the_scalar_loop():
+    # one row for a vector of t, another value for each scalar t
+    kernel = KernelU(SimpleNamespace(U=lambda t, s, row: row + np.ndim(t), dimension=1))
+    nodes = np.linspace(0.0, 1.0, 5)
+    rows = np.linspace(1.0, 2.0, 5)[:, None]
+    z = volterra_tri(kernel, nodes, list(rows), 1)
+    assert not kernel.t_free
+    assert z.tobytes() == volterra_tri(row_kernel(1), nodes, list(rows), 1).tobytes()
 
 
 def test_one_outer_time_does_not_declare_t_free():

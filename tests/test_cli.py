@@ -88,6 +88,37 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="problem.name"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("section, key", [
+        ("problem: {name: paper_example, parameters: [1, 2]}", "problem.parameters"),
+        ("problem: {name: paper_example, parameters: {L_G: true}}", "problem.parameters.L_G"),
+        ("problem: {name: paper_example}\ndiscretization: {step: abc}", "discretization.step"),
+        ("problem: {name: paper_example}\nseed: abc", "seed"),
+        ("problem: {name: paper_example}\npicard: {max_iterations: 2.5}", "picard.max_iterations"),
+    ])
+    def test_wrong_type_exit_two(self, tmp_path, capsys, section, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(section + "\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+        assert run(["certify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err and "Traceback" not in captured.err
+        assert "certificate" not in captured.out
+
+    def test_output_path_must_be_a_string(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("problem: {name: pure_semigroup}\ndiscretization: {step: 5.0e-2}\n"
+                        "output_path: 1\n")
+        assert run(["solve", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "output_path must be of type str" in captured.err
+        assert captured.out == ""  # nothing written to file descriptor 1
+
+    def test_number_read_as_string_by_yaml_is_a_number(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: {name: paper_example}\ndiscretization: {step: 1e-3}\n")
+        assert load_config(str(path)).step == 1e-3
+
 
 class TestCertify:
     def test_pass_exit_zero(self, paper_cfg, capsys):

@@ -123,6 +123,15 @@ class TestValidate:
         )
         assert any("V probe" in msg for msg in validate(p))
 
+    def test_u_broadcasting_unlike_its_scalar_calls_flagged(self, catalog):
+        # one row for a vector of t, another value for each scalar t
+        p = replace(catalog["paper_example"].problem, U=lambda t, s, w_s: 1.0 + np.ndim(t))
+        message = "U broadcasts over its time argument but disagrees with scalar calls"
+        assert validate(p) == [message]
+        # a U that does not broadcast at all is allowed
+        p = replace(p, U=lambda t, s, w_s: float(t) - s)
+        assert validate(p) == []
+
     def test_mismatched_jump_list(self, catalog):
         p = replace(catalog["paper_example"].problem, jump_maps=())
         assert any("jump_maps" in msg for msg in validate(p))

@@ -1,9 +1,11 @@
 """Property tests of `bounds._sample`, the one place where n, f and g are sampled.
 
-`_sample(fn, xs)` may evaluate fn with one array call, but its output must be,
-bit for bit, the scalar loop `[float(fn(float(x))) for x in xs]`: for callables
-that broadcast, for constants, for scalar-only callables, and for callables
-that broadcast wrongly, return another shape or raise, which must fall back.
+`_sample(fn, xs)` calls fn once on an array only when fn is marked `batched`;
+any other fn is called once per point. Either way its output must be, bit for
+bit, the scalar loop `[float(fn(float(x))) for x in xs]`: for callables that
+broadcast, for constants, for scalar-only callables, and for callables that
+broadcast wrongly, return another shape or raise. A marked fn that returns
+another shape than its times raises.
 """
 
 import math
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impulsedde import build_oracle_grid, random_instance
-from impulsedde.bounds import _sample
+from impulsedde import (PachpatteInstance, batched, build_catalog, build_oracle_grid,
+                        operator_norm_bound, random_instance)
+from impulsedde.bounds import _reduction_instance, _sample
 
 
 def scalar_loop(fn, xs):
@@ -110,12 +113,37 @@ def test_sample_equals_scalar_loop(fn, xs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(BROADCASTING, CONSTANT), TIMES)
-def test_broadcasting_callable_is_called_three_times(fn, xs):
-    counted = Counted(fn)
-    out = _sample(counted, xs)
-    assert counted.calls == (3 if len(xs) >= 3 else len(xs))
-    assert same_bits(out, scalar_loop(fn, xs))
+@given(BROADCASTING, TIMES)
+def test_marked_callable_is_called_once_and_unmarked_once_per_point(fn, xs):
+    marked = batched(Counted(fn))
+    assert same_bits(_sample(marked, xs), scalar_loop(fn, xs))
+    assert marked.calls == 1
+    unmarked = Counted(fn)
+    assert same_bits(_sample(unmarked, xs), scalar_loop(fn, xs))
+    assert unmarked.calls == len(xs)
+
+
+def test_interior_rounding_matches_scalar_loop():
+    # numpy's ** 2 on an array rounds some interior samples unlike the scalar
+    # calls, while both ends agree; an unmarked callable is never called on arrays
+    fn = lambda t: np.sin(t) ** 2  # noqa: E731
+    xs = np.linspace(0.0, 8.0, 100001)
+    assert same_bits(_sample(fn, xs), scalar_loop(fn, xs))
+
+
+WRONG_SHAPE = (lambda t: 1.0, lambda t: t[:-1], lambda t: np.stack([t, t]))
+
+
+@pytest.mark.parametrize("fn", WRONG_SHAPE)
+@pytest.mark.parametrize("name", ["n", "f", "g"])
+def test_marked_data_of_the_wrong_shape_raises(name, fn):
+    with pytest.raises(ValueError, match="batched"):
+        _sample(batched(fn), np.linspace(0.0, 1.0, 5))
+    data = {"n": lambda t: 1.0, "f": lambda t: 0.5, "g": lambda t: 0.25}
+    data[name] = batched(fn)
+    with pytest.raises(ValueError, match="batched"):
+        PachpatteInstance(**data, impulse_times=[], beta=[], theta=[], tau=[], horizon=1.0,
+                          grid_points=16)
 
 
 @settings(max_examples=50, deadline=None)
@@ -148,3 +176,22 @@ def test_random_instance_samples_match_scalar_loop(seed):
     grid = build_oracle_grid(inst, 1e-3)
     for fn in (inst.n, inst.f, inst.g):
         assert same_bits(_sample(fn, grid), scalar_loop(fn, grid))
+
+
+REDUCTIONS = [(e, False) for e in build_catalog()]
+REDUCTIONS += [(e, True) for e in build_catalog() if e.lipschitz.N_V_tilde is not None]
+
+
+@pytest.mark.parametrize("entry, tilde", REDUCTIONS,
+                         ids=[f"{e.name}-{'tilde' if t else 'plain'}" for e, t in REDUCTIONS])
+def test_catalog_reduction_data_is_marked_and_equals_scalar_loop(entry, tilde):
+    problem, lip = entry.problem, entry.lipschitz
+    inst = _reduction_instance(problem, lip, operator_norm_bound(problem.generator, 2.0), tilde)
+    for fn in (inst.n, inst.f, inst.g):
+        assert fn.batched
+        assert same_bits(_sample(fn, inst.grid), scalar_loop(fn, inst.grid))
+
+
+def test_random_instance_data_is_marked():
+    inst = random_instance(np.random.default_rng(0))
+    assert inst.n.batched and inst.f.batched and inst.g.batched

@@ -298,9 +298,9 @@ class TestSolveMild:
         assert sigma_diff(traj, other) <= 1e-9
 
     def test_segment_grid_exact_breakpoints(self):
-        from impulsedde.solver import _segment_grid
+        from impulsedde.quadrature import segment_grid
 
-        grid = _segment_grid(0.0, 0.5, 1e-3, specials=(0.2, 0.4))
+        grid = segment_grid(0.0, 0.5, 1e-3, specials=(0.2, 0.4))
         assert 0.2 in grid and 0.4 in grid
         assert len(grid) >= 2
         assert np.all(np.diff(grid) > 0.0)
