@@ -18,7 +18,6 @@ FAIL, 4 solver non-convergence, 5 inequality violation beyond tolerance.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -61,22 +60,14 @@ class ConfigError(Exception):
 class RunConfig:
     problem_name: str
     parameters: dict
-    step: float
-    quadrature: str
-    tolerance: float
-    max_iterations: int
-    initial_iterate: str
+    discretization: Discretization
+    picard: PicardControl
     seed: int
     output_path: str | None
 
     @property
-    def discretization(self) -> Discretization:
-        return Discretization(step=self.step, quadrature=self.quadrature)
-
-    @property
-    def picard(self) -> PicardControl:
-        return PicardControl(tolerance=self.tolerance, max_iterations=self.max_iterations,
-                             initial_iterate=self.initial_iterate)
+    def step(self) -> float:
+        return self.discretization.step
 
 
 _SCHEMA = {
@@ -133,34 +124,30 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"problem.parameters.{key} must be a number")
     disc = data.get("discretization", {})
     picard = data.get("picard", {})
-
-    step = float(disc.get("step", 1e-3))
-    if not 0.0 < step < math.inf:
-        raise ConfigError(f"discretization.step must be finite and > 0, got {step}")
-    quadrature = str(disc.get("quadrature", "trapezoid"))
-    if quadrature != "trapezoid":
-        raise ConfigError(f"discretization.quadrature must be 'trapezoid', got {quadrature!r}")
-    tolerance = float(picard.get("tolerance", 1e-10))
-    if not 0.0 < tolerance < math.inf:
-        raise ConfigError(f"picard.tolerance must be finite and > 0, got {tolerance}")
-    max_iterations = int(picard.get("max_iterations", 200))
-    if max_iterations < 1:
-        raise ConfigError(f"picard.max_iterations must be >= 1, got {max_iterations}")
-    initial_iterate = str(picard.get("initial_iterate", "constant"))
-    if initial_iterate not in ("constant", "ramp"):
-        raise ConfigError(f"picard.initial_iterate must be constant|ramp, got {initial_iterate!r}")
+    # the dataclasses check the ranges; their messages start with the field name
+    try:
+        discretization = Discretization(step=float(disc.get("step", 1e-3)),
+                                        quadrature=disc.get("quadrature", "trapezoid"))
+    except ValueError as exc:
+        raise ConfigError(f"discretization.{exc}") from exc
+    try:
+        control = PicardControl(tolerance=float(picard.get("tolerance", 1e-10)),
+                                max_iterations=picard.get("max_iterations", 200),
+                                initial_iterate=picard.get("initial_iterate", "constant"))
+    except ValueError as exc:
+        raise ConfigError(f"picard.{exc}") from exc
+    seed = data.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     name = problem.get("name")
     if not isinstance(name, str):
         raise ConfigError("problem.name is required")
     return RunConfig(
         problem_name=name,
         parameters=dict(problem.get("parameters", {})),
-        step=step,
-        quadrature=quadrature,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        initial_iterate=initial_iterate,
-        seed=int(data.get("seed", 0)),
+        discretization=discretization,
+        picard=control,
+        seed=seed,
         output_path=data.get("output_path"),
     )
 
@@ -436,6 +423,8 @@ def run(argv) -> int:
             else:
                 seed, step = 0, 1e-3
             if args.seed is not None:
+                if args.seed < 0:
+                    raise ConfigError(f"--seed must be >= 0, got {args.seed}")
                 seed = args.seed
             return _cmd_inequality(args.samples, seed, args.out, step)
         if args.command == "compare":

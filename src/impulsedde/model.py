@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .trajectory import HistorySegment, _StateView, _Windows
+from .trajectory import _StateView, _Windows
 
 __all__ = [
     "ImpulsiveProblem",
@@ -230,12 +230,6 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 # validation
 
-def _probe_segment(problem: ImpulsiveProblem) -> HistorySegment:
-    thetas = np.linspace(-problem.delay, 0.0, 9)
-    thetas[-1] = 0.0
-    return HistorySegment(thetas, problem.history_values(thetas))
-
-
 def validate(problem: ImpulsiveProblem) -> list:
     """Check every structural invariant; returns a list of violation messages.
 
@@ -295,40 +289,22 @@ def validate(problem: ImpulsiveProblem) -> list:
         out.append(f"history evaluation failed: {exc}")
         return out
 
-    seg = _probe_segment(problem)
+    out += _kernel_probe(problem)
     zero = np.zeros(n)
-    try:
-        as_state(problem.V(0.0, seg, zero), n)
-    except Exception as exc:
-        out.append(f"V probe failed: {exc}")
-    try:
-        probe = probe_t(problem.U, np.array([0.0, 0.5 * problem.horizon]), 0.0, seg, n)
-        if probe is None:  # scalar-only kernels are allowed
-            as_state(problem.U(0.0, 0.0, seg), n)
-        elif not probe[2]:
-            out.append("U broadcasts over its time argument but disagrees with scalar calls")
-    except Exception as exc:
-        out.append(f"U probe failed: {exc}")
-    try:
-        as_state(problem.G(0.0, seg), n)
-    except Exception as exc:
-        out.append(f"G probe failed: {exc}")
     for k, jump in enumerate(problem.jump_maps, start=1):
         try:
             as_state(jump(zero), n)
         except Exception as exc:
             out.append(f"I_{k} probe failed: {exc}")
-    if not out:
-        out += _batched_probe(problem)
     return out
 
 
-def _batched_probe(problem: ImpulsiveProblem) -> list:
-    """Call each kernel marked `batched` once on a 3-node probe window; its rows
-    must equal its scalar calls bit for bit."""
+def _kernel_probe(problem: ImpulsiveProblem) -> list:
+    """Call V, U, G and the history node by node on one 3-node probe window, then
+    each kernel marked `batched` once over all nodes: its rows must equal its
+    scalar calls bit for bit."""
     n, r = problem.dimension, problem.delay
     thetas = np.linspace(-r, 0.0, 9)
-    thetas[-1] = 0.0
     try:  # scalar calls: the wrapper carries no mark
         hist = node_rows(lambda t: problem.history(t), n, thetas)
     except Exception as exc:  # noqa: BLE001 - a marked history may fail on scalars
@@ -338,19 +314,28 @@ def _batched_probe(problem: ImpulsiveProblem) -> list:
     view = _StateView(r, np.concatenate([thetas, ts]), np.concatenate([hist, ends]))
     windows = view.windows(ts, ends)
     probes = {
+        "history": lambda f: node_rows(f, n, thetas),
         "V": lambda f: node_rows(f, n, ts, windows, ends),
         "U": lambda f: node_rows(f, n, ts, windows, lead=2),
         "G": lambda f: node_rows(f, n, ts, windows),
-        "history": lambda f: node_rows(f, n, thetas[4::2]),
     }
     out = []
     for name, rows in probes.items():
         fn = getattr(problem, name)
+        try:
+            scalar = hist if name == "history" else rows(lambda *a: fn(*a))
+            if name == "U":
+                probe = probe_t(fn, np.array([0.0, 0.5 * problem.horizon]), 0.0, windows[0], n)
+                if probe is not None and not probe[2]:  # scalar-only kernels are allowed
+                    out.append("U broadcasts over its time argument but disagrees with "
+                               "scalar calls")
+        except Exception as exc:  # noqa: BLE001 - report, do not crash validation
+            out.append(f"{name} probe failed: {exc}")
+            continue
         if not getattr(fn, "batched", False):
             continue
         try:
-            # the unmarked wrapper takes the node-by-node path
-            differ = rows(fn).tobytes() != rows(lambda *a: fn(*a)).tobytes()
+            differ = rows(fn).tobytes() != scalar.tobytes()
         except Exception as exc:  # noqa: BLE001 - report, do not crash validation
             out.append(f"batched {name} probe failed: {exc}")
             continue

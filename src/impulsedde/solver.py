@@ -50,7 +50,7 @@ class Discretization:
         if not 0.0 < self.step < math.inf:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
         if self.quadrature != "trapezoid":
-            raise ValueError(f"unknown quadrature rule {self.quadrature!r}")
+            raise ValueError(f"quadrature must be 'trapezoid', got {self.quadrature!r}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,10 @@ class PicardControl:
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.initial_iterate not in ("constant", "ramp"):
-            raise ValueError("initial_iterate must be 'constant' or 'ramp'")
+            raise ValueError("initial_iterate must be 'constant' or 'ramp', "
+                             f"got {self.initial_iterate!r}")
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,12 @@ class HistorySegment:
     """Sampled delayed state: theta -> w(t + theta) for theta in [-r, 0].
 
     Evaluation between samples is linear; the sample grid runs from -r to 0.
-    The solver hands kernels `_Window`s, which read a trajectory's node
-    arrays in place and build `theta_grid` and `values` only when asked;
-    kernels marked `batched` get one `_Windows` that reads every node's window.
+    Scalar and array reads both go through `_interp_sorted`: a read on a sample
+    gives that sample exactly, and NaN reads the theta = 0 sample. The solver
+    reads every node's window through one `_Windows` (`_StateView.windows`);
+    kernels marked `batched` get it whole, the others its rows, `_Window`s
+    that read the trajectory's node arrays in place and build `theta_grid`
+    and `values` only when asked.
     """
 
     theta_grid: np.ndarray
@@ -92,25 +95,12 @@ class HistorySegment:
         return -float(self.theta_grid[0])
 
     def __call__(self, theta):
-        g = self.theta_grid
-        v = self.values
-        if np.ndim(theta) == 0:
-            t = float(theta)
-            pad = _EDGE_TOL * (1.0 + self.delay)
-            if t < g[0] - pad or t > pad:
-                raise ValueError(f"theta={t} outside [{g[0]}, 0]")
-            i = np.searchsorted(g, t, side="right") - 1
-            if i < 0:
-                return v[0].copy()
-            if i >= len(g) - 1:
-                return v[-1].copy()
-            frac = (t - g[i]) / (g[i + 1] - g[i])
-            return v[i] + frac * (v[i + 1] - v[i])
-        theta = np.asarray(theta, dtype=float)
+        g, theta = self.theta_grid, np.asarray(theta, dtype=float)
         pad = _EDGE_TOL * (1.0 + self.delay)
         if np.any(theta < g[0] - pad) or np.any(theta > pad):
-            raise ValueError("theta values outside [-r, 0]")
-        return _interp_sorted(g, v, np.clip(theta, g[0], 0.0))
+            raise ValueError(f"theta={theta} outside [{g[0]}, 0]")
+        # NaN reads the theta = 0 sample, as on every window reader
+        return _interp_sorted(g, self.values, np.fmax(np.fmin(theta, 0.0), g[0]))
 
     def sup_norm(self) -> float:
         """Sup norm over the samples (the C([-r,0]) norm on this grid)."""
@@ -170,45 +160,32 @@ class _StateView:
 
 
 class _Window(HistorySegment):
-    """w_t read from a view's shared node arrays instead of a copied sample grid.
+    """Row i of a `_Windows`: w_t read from a view's shared node arrays instead
+    of a copied sample grid.
 
     The sample grid it stands for is theta = -r (value w((t - r)^-)), every
-    view node strictly inside the window, and theta = 0 (value `end_value`,
-    or w(t^-) when it is None). Scalar reads bracket and interpolate exactly
-    as `HistorySegment.__call__` would on that grid; `theta_grid`, `values`
-    and every other read build the grid on first use and keep it.
+    view node strictly inside the window, and theta = 0 (the row's end value).
+    Scalar reads give row i of the parent's reads bit for bit; `theta_grid`,
+    `values` and array reads build the grid on first use and keep it.
+    `_Window(view, t, end_value)` is the one row of `view.windows([t])`, with
+    w(t^-) as its end value when `end_value` is None.
     """
 
     def __init__(self, view: _StateView, t: float, end_value=None):
-        nodes, r = view.node_list, view.delay
-        j0 = bisect_right(nodes, t - r)
-        j1 = bisect_left(nodes, t, j0)
-        # a node one ulp inside the window can round onto theta = -r
-        while j0 < j1 and nodes[j0] - t <= -r:
-            j0 += 1
-        # the window's nodes are node_list[j0:j1]
-        vars(self).update(_view=view, _t=t, _end_value=end_value, _j0=j0, _j1=j1)
+        # eval_left, not the array read, which past the last node is not exactly its value
+        end = view.eval_left(t) if end_value is None else end_value
+        vars(self).update(vars(view.windows(np.array([t]), np.reshape(end, (1, -1)))[0]))
 
     def __getattr__(self, name):
-        # the end samples and the sample grid are built on first use and kept
-        # in the instance dict, where later lookups find them directly
-        if name not in ("_low", "_high", "theta_grid", "values"):
+        # the sample grid is built on first use and kept in the instance dict,
+        # where later lookups find it directly
+        if name not in ("theta_grid", "values"):
             raise AttributeError(name)
-        view, t = self._view, self._t
-        if name == "_low":
-            value = view.eval_left(t - view.delay)
-        elif name == "_high":
-            end = self._end_value
-            value = view.eval_left(t) if end is None else np.asarray(end, dtype=float)
-        else:
-            j0, j1 = self._j0, self._j1
-            thetas = np.concatenate(([-view.delay], view.node_times[j0:j1] - t, [0.0]))
-            values = np.concatenate((self._low[None, :], view.node_values[j0:j1],
-                                     self._high[None, :]))
-            HistorySegment.__init__(self, thetas, values)
-            return vars(self)[name]
-        vars(self)[name] = value
-        return value
+        view, t, j0, j1 = self._view, self._t, self._j0, self._j1
+        thetas = np.concatenate(([-view.delay], view.node_times[j0:j1] - t, [0.0]))
+        values = np.concatenate((self._low[None, :], view.node_values[j0:j1], self._high[None, :]))
+        HistorySegment.__init__(self, thetas, values)
+        return vars(self)[name]
 
     def __call__(self, theta):
         if type(theta) is not float:
@@ -222,7 +199,7 @@ class _Window(HistorySegment):
             raise ValueError(f"theta={theta} outside [{-r}, 0]")
         if theta < -r:
             return self._low.copy()
-        if not theta < 0.0:  # NaN too, as in HistorySegment.__call__
+        if not theta < 0.0:  # NaN too, as on every reader
             return self._high.copy()
         nodes, vals, j0, j1 = view.node_list, view.node_values, self._j0, self._j1
         # last sample at or below theta; j = j0 - 1 is the theta = -r sample.
@@ -239,13 +216,13 @@ class _Window(HistorySegment):
 
 
 class _Windows:
-    """The `_Window`s at every t of `times`, read together as one (T, n) array.
+    """The windows w_t at every t of `times`, read together as one (T, n) array.
 
-    Row i of `W(theta)` is `_Window(view, times[i], ends[i])(theta)` bit for
-    bit: one searchsorted over the view's node arrays, the same bracket
-    corrections in theta-space, the same sentinels at theta = -r and 0 and the
-    same interpolation, element by element. `W[i]` is that scalar `_Window`,
-    for kernels that are called node by node.
+    Row i of `W(theta)` reads the window of times[i]: one searchsorted over the
+    view's node arrays, bracket corrections in theta-space, the sentinels
+    w((t - r)^-) at theta = -r and ends[i] (w(t^-) when `ends` is None) at
+    theta = 0. `W[i]` is that row as a `_Window`, for kernels that are called
+    node by node; its scalar reads give the same bits element by element.
     """
 
     def __init__(self, view: _StateView, times: np.ndarray, ends=None):
@@ -260,19 +237,20 @@ class _Windows:
                 break
             j0 += inside
         self._view, self.times, self._ends, self._j0, self._j1 = view, times, ends, j0, j1
-        self._singles = [None] * len(times)
 
     def __getitem__(self, i: int) -> _Window:
-        window = self._singles[i]
-        if window is None:
-            end = None if self._ends is None else self._ends[i]
-            window = self._singles[i] = _Window(self._view, float(self.times[i]), end)
-        return window
+        # a row holds no reference to its parent, so the two form no cycle
+        row = _Window.__new__(_Window)
+        vars(row).update(_view=self._view, _t=float(self.times[i]), _j0=int(self._j0[i]),
+                         _j1=int(self._j1[i]), _low=self._low[i], _high=self._high[i])
+        return row
 
     @cached_property
     def _low(self) -> np.ndarray:
         view = self._view
-        return _interp_sorted(view.times, view.values, self.times - view.delay)
+        # t - r below the first node (t just below 0) reads that node exactly
+        lows = np.maximum(self.times - view.delay, view.times[0])
+        return _interp_sorted(view.times, view.values, lows)
 
     @cached_property
     def _high(self) -> np.ndarray:
@@ -293,7 +271,7 @@ class _Windows:
             raise ValueError(f"theta={theta} outside [{-r}, 0]")
         if theta < -r:
             return self._low.copy()
-        if not theta < 0.0:  # NaN too, as in _Window.__call__
+        if not theta < 0.0:  # NaN too, as on every reader
             return self._high.copy()
         nodes, vals, j0, j1 = view.node_times, view.node_values, self._j0, self._j1
         last = len(nodes) - 1
@@ -301,7 +279,7 @@ class _Windows:
         ja, jb = np.maximum(j, 0), np.minimum(j + 1, last)
         ga, gb = nodes[ja] - ts, nodes[jb] - ts
         if ((gb <= theta) & (j + 1 < j1)).any() or ((ga > theta) & (j >= j0)).any():
-            # t + theta was rounded: settle the brackets as _Window.__call__ does
+            # t + theta was rounded: settle the brackets in theta-space
             while True:
                 up = (j + 1 < j1) & (nodes[np.minimum(j + 1, last)] - ts <= theta)
                 if not up.any():

@@ -105,6 +105,28 @@ class TestLoadConfig:
         assert key in captured.err and "Traceback" not in captured.err
         assert "certificate" not in captured.out
 
+    @pytest.mark.parametrize("section, key", [
+        ("discretization: {quadrature: simpson}", "discretization.quadrature"),
+        ("picard: {max_iterations: 0}", "picard.max_iterations"),
+        ("picard: {initial_iterate: x}", "picard.initial_iterate"),
+        ("seed: -3", "seed"),
+    ])
+    def test_out_of_range_exit_two(self, tmp_path, capsys, section, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text("problem: {name: paper_example}\n" + section + "\n")
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            load_config(str(path))
+        assert run(["inequality", "--config", str(path), "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err and "Traceback" not in captured.err
+        assert "max violation" not in captured.out
+
+    def test_negative_seed_flag_exit_two(self, capsys):
+        assert run(["inequality", "--samples", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in captured.err
+        assert "max violation" not in captured.out
+
     def test_output_path_must_be_a_string(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("problem: {name: pure_semigroup}\ndiscretization: {step: 5.0e-2}\n"

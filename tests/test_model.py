@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from impulsedde import build_catalog, get_entry, validate
+from impulsedde import batched, build_catalog, get_entry, validate
+from impulsedde.trajectory import _Window, _Windows
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,24 @@ class TestValidate:
         # a U that does not broadcast at all is allowed
         p = replace(p, U=lambda t, s, w_s: float(t) - s)
         assert validate(p) == []
+
+    @pytest.mark.parametrize("mark", [False, True])
+    def test_kernels_are_probed_on_window_rows(self, catalog, mark):
+        base = catalog["windowed_impulse"].problem
+        seen = {"V": set(), "U": set(), "G": set()}
+
+        def recorded(name, kernel, at):
+            def fn(*args):
+                seen[name].add(type(args[at]))
+                return kernel(*args)
+            return batched(fn) if mark else fn
+
+        p = replace(base, V=recorded("V", base.V, 1), U=recorded("U", base.U, 2),
+                    G=recorded("G", base.G, 1))
+        assert validate(p) == []
+        # node by node on rows of the probe's windows; a marked kernel also gets them whole
+        expected = {_Window, _Windows} if mark else {_Window}
+        assert seen == {"V": expected, "U": expected, "G": expected}
 
     def test_mismatched_jump_list(self, catalog):
         p = replace(catalog["paper_example"].problem, jump_maps=())

@@ -6,6 +6,9 @@ strictly inside the window (a repeated impulse time keeps its first,
 pre-jump value), and theta = 0 with w(t^-) or the given end value.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,3 +145,78 @@ def test_brackets_settled_in_theta_space(hist_t, hist_v, t):
     traj = PiecewiseTrajectory(1, 1.5, HORIZON, [], (hist, main), np.zeros((0, 1)))
     thetas = [float(s - t) for s in hist_t[1:-1]] + [-1.5, -1.0, -0.5, 0.0]
     assert_reads_match(traj.history_segment(t), reference_segment(traj, t), thetas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reads_past_coverage_end_continue_the_end_value(data):
+    full = data.draw(trajectories())
+    nblocks = data.draw(st.integers(1, len(full.blocks)))
+    traj = PiecewiseTrajectory(full.dimension, full.delay, full.horizon, full.impulse_times,
+                               full.blocks[:nblocks], full.right_limits[:max(nblocks - 2, 0)])
+    end = traj.coverage_end
+    for frac in (0.5, 1.0):
+        # history_segment accepts t up to this far past the coverage end
+        t = end + frac * _EDGE_TOL * (1.0 + traj.horizon)
+        # traj.eval(t) interpolates v[-2] + 1 * (v[-1] - v[-2]) there, which is
+        # not always the end node's value; the window keeps that value exactly
+        ref = reference_segment(traj, t, traj.eval(end))
+        assert_reads_match(traj.history_segment(t), ref, thetas_for(data.draw, traj, t))
+
+
+def test_window_just_before_zero_starts_at_the_first_node():
+    # history_segment accepts t a little below 0, where t - r lies before the
+    # first node; w(t - r) is then that node's value, its sign of zero included
+    hist = (np.linspace(-1.0, 0.0, 3), np.array([[-0.0], [1.0], [2.0]]))
+    main = (np.array([0.0, HORIZON]), np.array([[2.0], [3.0]]))
+    traj = PiecewiseTrajectory(1, 1.0, HORIZON, [], (hist, main), np.zeros((0, 1)))
+    window = traj.history_segment(-0.5 * _EDGE_TOL)
+    assert window(np.nextafter(-1.0, -np.inf)).tobytes() == hist[1][0].tobytes()
+    assert window.values[0].tobytes() == hist[1][0].tobytes()
+
+
+@st.composite
+def sampled_segments(draw):
+    n = draw(st.integers(1, 2))
+    r = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+    inner = draw(st.lists(st.floats(-r, 0.0).filter(lambda x: -r < x < 0.0),
+                          max_size=8, unique=True))
+    grid = np.array([-r] + sorted(inner) + [0.0])
+    sample = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+    return HistorySegment(grid, draw(arrays(float, (len(grid), n), elements=sample)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_segments(), st.lists(st.floats(-1.5, 0.0), max_size=4))
+def test_scalar_reads_equal_array_reads(segment, extra):
+    g = segment.theta_grid
+    thetas = [th for node in g.tolist()
+              for th in (node, np.nextafter(node, -np.inf), np.nextafter(node, np.inf))]
+    thetas += [-0.0, float("nan")] + [th for th in extra if th >= g[0]]
+    rows = segment(np.array(thetas))
+    for th, row in zip(thetas, rows):
+        assert segment(th).tobytes() == row.tobytes(), th
+        assert segment(np.float64(th)).tobytes() == row.tobytes(), th
+    # NaN reads the theta = 0 sample, as every window reader does
+    assert segment(float("nan")).tobytes() == segment.values[-1].tobytes()
+
+
+def test_rows_and_their_windows_form_no_cycle():
+    traj = PiecewiseTrajectory(1, 1.0, HORIZON, [], (
+        (np.linspace(-1.0, 0.0, 5), np.arange(5.0)[:, None]),
+        (np.linspace(0.0, HORIZON, 9), np.arange(4.0, 13.0)[:, None]),
+    ), np.zeros((0, 1)))
+    windows = traj._view.windows(np.array([0.5, 1.0, 1.5]))
+    row = windows[1]
+    row(-0.5)
+    row.values  # build the row's sample grid too
+    parent, child = weakref.ref(windows), weakref.ref(row)
+    gc.disable()
+    try:
+        del windows
+        assert parent() is None  # a live row does not keep its windows alive
+        del row
+        assert child() is None  # freed by reference counting, not by the collector
+    finally:
+        gc.enable()
+
