@@ -63,9 +63,10 @@ def propagator_stack(A, dts) -> np.ndarray:
 
 
 def apply_stack(stack: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Apply a (T, n, n) propagator stack to (T, n) vectors row by row."""
-    if stack.shape[1] == 1:
-        return stack[:, 0, 0][:, None] * vecs
+    """Apply a (T, n, n) propagator stack to (T, n) vectors row by row; a (T, 1)
+    stack of scalar propagators scales them."""
+    if stack.ndim == 2:
+        return stack * vecs
     return np.einsum("tij,tj->ti", stack, vecs)
 
 

@@ -5,9 +5,11 @@ Each inter-impulse segment [t_k, t_{k+1}] is solved as a fixed point of
     w(t) = T(t - t_k) w(t_k^+) + int_{t_k}^t T(t - s) V(s, w_s, z(s)) ds,
     z(s) = int_0^s U(s, sigma, w_sigma) dsigma,
 
-restarting from the jumped value after each impulse. The Duhamel integral uses
-the matrix-group identity T(t - s) = T(t - t_k) T(t_k - s), which turns the
-per-node quadrature into one cumulative sum. Each sweep reads the delayed
+restarting from the jumped value after each impulse. The Duhamel integral is
+the trapezoid rule propagated forward, Y_{j+1} = E_j Y_j + (h_j/2)(E_j v_j +
+v_{j+1}) with E_j = T(h_j), run as a doubling scan over a plan of forward
+propagators that each segment builds once (`_Duhamel`); T(-s) is never formed,
+so a stiff generator decays instead of overflowing. Each sweep reads the delayed
 states of all its nodes through one `_Windows` view; a V or G marked
 `batched` is called once over all nodes, any other once per node
 (`node_rows`). The double Volterra integral is one O(N) cumulative sum for a
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ImpulsiveProblem, as_state, node_rows, validate
-from .quadrature import KernelU, cumtrap, segment_grid, volterra_rect, volterra_tri, window_nodes
+from .quadrature import KernelU, segment_grid, volterra_rect, volterra_tri, window_nodes
 from .semigroup import apply_stack, propagator_stack
 from .trajectory import PiecewiseTrajectory, _StateView, _interp_sorted
 
@@ -132,7 +134,7 @@ def volterra_term(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, t: float
     view = traj._view
     i1 = np.searchsorted(traj.main_times, t, side="left")
     times = np.concatenate([traj.main_times[:i1], [t]])
-    values = np.concatenate([traj.main_values[:i1], [view.eval_left(t)]])
+    values = np.concatenate([traj.main_values[:i1], traj.eval_many([t])])
     kernel = KernelU(problem)
     return volterra_rect(kernel, np.array([t]), times, view.windows(times, values), n)[0]
 
@@ -140,10 +142,38 @@ def volterra_term(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, t: float
 # ---------------------------------------------------------------------------
 # Picard iteration
 
-def _mild_map(problem, kernel, view, times, values, fwd, bwd, w0, z_rect=None):
+class _Duhamel:
+    """The trapezoid Duhamel step on the nodes `times`, propagated forward:
+    Y_0 = x_0, Y_{j+1} = E_j Y_j + (h_j / 2)(E_j v_j + v_{j+1}) + x_{j+1}, E_j = e^{A h_j},
+    so x_0 and each kick x_j are carried forward too. It runs as the doubling scan
+    x[d:] += P_d x[:-d] with P_d = e^{A (t[d:] - t[:-d])}: exact span exponentials
+    for n = 1, else products of one `propagator_stack` of the distinct steps."""
+
+    def __init__(self, A: np.ndarray, times: np.ndarray):
+        h = np.diff(times)
+        self.half = 0.5 * h[:, None]
+        self.strides = [1 << i for i in range((len(times) - 1).bit_length())]
+        if A.shape[0] == 1:
+            self.levels = [np.exp(A[0, 0] * (times[d:] - times[:-d]))[:, None] for d in self.strides]
+            return
+        widths, which = np.unique(h, return_inverse=True)
+        self.levels = [propagator_stack(A, widths)[which]]
+        for d in self.strides[:-1]:
+            self.levels.append(self.levels[-1][d:] @ self.levels[-1][:-d])
+
+    def __call__(self, x0: np.ndarray, v: np.ndarray) -> np.ndarray:
+        x = x0.copy()
+        x[1:] += self.half * (apply_stack(self.levels[0], v[:-1]) + v[1:])
+        for d, P in zip(self.strides, self.levels):
+            x[d:] += apply_stack(P, x[:-d])
+        return x
+
+
+def _mild_map(problem, kernel, view, times, values, duhamel, x0, z_rect=None):
     """The mild map at the nodes `times` of the iterate `values`, read through
-    `view`; fwd, bwd are e^{+-A (times - times[0])}. z_rect, the iterate-free part
-    of the inner integral, is added when given (adding zeros would turn -0.0 to +0.0)."""
+    `view`: `duhamel` on the plan of `times`, from x0 (the start value in row 0
+    and any kicks). z_rect, the iterate-free part of the inner integral, is added
+    when given (adding zeros would turn -0.0 to +0.0)."""
     n = problem.dimension
     # the stored node value is the correct one-sided sample at theta = 0
     # (post-jump at a segment start, interior values elsewhere)
@@ -151,8 +181,7 @@ def _mild_map(problem, kernel, view, times, values, fwd, bwd, w0, z_rect=None):
     z = volterra_tri(kernel, times, segs, n)
     if z_rect is not None:
         z = z_rect + z
-    v = node_rows(problem.V, n, times, segs, z)
-    return apply_stack(fwd, w0[None, :] + cumtrap(times, apply_stack(bwd, v)))
+    return duhamel(x0, node_rows(problem.V, n, times, segs, z))
 
 
 def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretization,
@@ -184,11 +213,10 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     specials = problem.jump_window(k + 1) if k + 1 <= m else ()
     times = segment_grid(t_start, t_end, disc.step, specials)
     T = len(times)
-    taus = times - t_start
 
-    A = problem.generator
-    fwd = propagator_stack(A, taus)
-    bwd = propagator_stack(A, -taus)
+    duhamel = _Duhamel(problem.generator, times)
+    x0 = np.zeros((T, n))
+    x0[0] = w_plus
 
     ht, hv = prefix.blocks[0]
     pre_t, pre_v = prefix.main_times, prefix.main_values
@@ -204,7 +232,7 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     if control.initial_iterate == "constant":
         values = np.broadcast_to(w_plus, (T, n)).copy()
     else:
-        values = w_plus[None, :] + taus[:, None]
+        values = w_plus[None, :] + (times - t_start)[:, None]
 
     tol = control.tolerance
     best_gap = np.inf
@@ -213,7 +241,7 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     iterations = 0
     for iterations in range(1, control.max_iterations + 1):
         view = _StateView(problem.delay, view_times, np.concatenate([hv, pre_v, values], axis=0))
-        new = _mild_map(problem, kernel, view, times, values, fwd, bwd, w_plus, z_rect)
+        new = _mild_map(problem, kernel, view, times, values, duhamel, x0, z_rect)
         gap = float(np.max(np.abs(new - values)))
         if not math.isfinite(gap):
             # a NaN gap would fail every comparison below and run on silently
@@ -318,21 +346,15 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory,
     ht, hv = traj.blocks[0]
     view = _StateView(problem.delay, np.concatenate([ht, sigma]),
                       np.concatenate([hv, w_ref], axis=0))
-    A = problem.generator
-    fwd = propagator_stack(A, sigma)
-    bwd = propagator_stack(A, -sigma)
-    rhs = _mild_map(problem, KernelU(problem), view, sigma, w_ref, fwd, bwd, hv[-1])
-
-    dup2 = np.zeros(len(sigma), dtype=bool)
-    dup2[1:] = sigma[1:] == sigma[:-1]
+    # each jump enters as a kick at the post-jump copy of t_k, where the step is 0
+    x0 = np.zeros((len(sigma), n))
+    x0[0] = hv[-1]
     for k in range(1, problem.num_impulses + 1):
         tk = float(problem.impulse_times[k - 1])
         wI = as_state(problem.jump_maps[k - 1](_integrate_G(problem, view, k)), n)
-        rows = (sigma > tk) | ((sigma == tk) & dup2)
-        idx = np.nonzero(rows)[0]
-        if len(idx):
-            stack = propagator_stack(A, sigma[idx] - tk)
-            rhs[idx] += apply_stack(stack, np.broadcast_to(wI, (len(idx), n)))
+        x0[np.searchsorted(sigma, tk, side="right") - 1] += wI
+    rhs = _mild_map(problem, KernelU(problem), view, sigma, w_ref,
+                    _Duhamel(problem.generator, sigma), x0)
 
     defect = np.max(np.abs(w_ref - rhs), axis=1)
     return float(np.max(defect[native]))

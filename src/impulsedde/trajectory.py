@@ -7,7 +7,7 @@ separately and doubles as the first node of the following block.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,8 +36,10 @@ def _interp_sorted(grid, vals, ts):
     `grid` may contain repeated entries (zero-width intervals at jumps); exact
     hits resolve to the first occurrence, interior queries interpolate from the
     last occurrence below, which realizes the left-continuity convention.
+    Queries outside the grid are clamped onto its end nodes, so they read the
+    end values exactly.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = np.clip(np.asarray(ts, dtype=float), grid[0], grid[-1])
     idx = np.searchsorted(grid, ts, side="left")
     idx = np.clip(idx, 0, len(grid) - 1)
     exact = grid[idx] == ts
@@ -50,8 +52,6 @@ def _interp_sorted(grid, vals, ts):
         tq = ts[rest]
         span = grid[hi] - grid[lo]
         frac = np.where(span > 0.0, (tq - grid[lo]) / np.where(span > 0.0, span, 1.0), 0.0)
-        # queries beyond the last node (within tolerance) clamp to the end value
-        frac = np.clip(frac, 0.0, 1.0)
         out[rest] = vals[lo] + frac[:, None] * (vals[hi] - vals[lo])
     return out
 
@@ -100,7 +100,7 @@ class HistorySegment:
         if np.any(theta < g[0] - pad) or np.any(theta > pad):
             raise ValueError(f"theta={theta} outside [{g[0]}, 0]")
         # NaN reads the theta = 0 sample, as on every window reader
-        return _interp_sorted(g, self.values, np.fmax(np.fmin(theta, 0.0), g[0]))
+        return _interp_sorted(g, self.values, np.fmin(theta, 0.0))
 
     def sup_norm(self) -> float:
         """Sup norm over the samples (the C([-r,0]) norm on this grid)."""
@@ -131,27 +131,11 @@ class _StateView:
         self.node_values = values[keep]
         self.node_list = self.node_times.tolist()
 
-    def eval_left(self, t: float) -> np.ndarray:
-        i = bisect_left(self._time_list, t)
-        if i < len(self._time_list) and self._time_list[i] == t:
-            return self.values[i]
-        return self._between(i - 1, t)
-
     def eval_right(self, t: float) -> np.ndarray:
         i = bisect_right(self._time_list, t) - 1
         if i >= 0 and self._time_list[i] == t:
             return self.values[i]
-        return self._between(i, t)
-
-    def _between(self, i: int, t: float) -> np.ndarray:
-        """Linear value at t from the pair (i, i + 1), clamped to the end nodes."""
-        grid, vals = self._time_list, self.values
-        if i < 0:
-            return vals[0]
-        if i + 1 >= len(grid):
-            return vals[-1]
-        frac = (t - grid[i]) / (grid[i + 1] - grid[i])
-        return vals[i] + frac * (vals[i + 1] - vals[i])
+        return _interp_sorted(self.times, self.values, np.array([t]))[0]
 
     def windows(self, times: np.ndarray, ends=None) -> "_Windows":
         """The windows w_t for every t in `times` (each in [view start + r, view end]),
@@ -172,9 +156,8 @@ class _Window(HistorySegment):
     """
 
     def __init__(self, view: _StateView, t: float, end_value=None):
-        # eval_left, not the array read, which past the last node is not exactly its value
-        end = view.eval_left(t) if end_value is None else end_value
-        vars(self).update(vars(view.windows(np.array([t]), np.reshape(end, (1, -1)))[0]))
+        ends = None if end_value is None else np.reshape(end_value, (1, -1))
+        vars(self).update(vars(view.windows(np.array([t]), ends)[0]))
 
     def __getattr__(self, name):
         # the sample grid is built on first use and kept in the instance dict,
@@ -210,6 +193,8 @@ class _Window(HistorySegment):
         while j >= j0 and nodes[j] - t > theta:
             j -= 1
         ga, va = (-r, self._low) if j < j0 else (nodes[j] - t, vals[j])
+        if theta == ga:  # on a sample: the sample itself, not va + 0 * (vb - va)
+            return va.copy()
         gb, vb = (nodes[j + 1] - t, vals[j + 1]) if j + 1 < j1 else (0.0, self._high)
         frac = (theta - ga) / (gb - ga)
         return va + frac * (vb - va)
@@ -249,8 +234,7 @@ class _Windows:
     def _low(self) -> np.ndarray:
         view = self._view
         # t - r below the first node (t just below 0) reads that node exactly
-        lows = np.maximum(self.times - view.delay, view.times[0])
-        return _interp_sorted(view.times, view.values, lows)
+        return _interp_sorted(view.times, view.values, self.times - view.delay)
 
     @cached_property
     def _high(self) -> np.ndarray:
@@ -302,7 +286,11 @@ class _Windows:
             gb[above] = 0.0
             vb[above] = self._high[above]
         frac = (theta - ga) / (gb - ga)
-        return va + frac[:, None] * (vb - va)
+        out = va + frac[:, None] * (vb - va)
+        on = theta == ga  # a row on a sample reads the sample itself, as the scalar read does
+        if on.any():
+            out[on] = va[on]
+        return out
 
 
 @dataclass(frozen=True)

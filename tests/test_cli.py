@@ -225,9 +225,10 @@ class TestSolve:
         assert "segment" in capsys.readouterr().err
 
     def test_non_finite_solve_exit_four(self, tmp_path, capsys, monkeypatch):
-        # no catalog parameter reaches a stiff generator, so serve one under a new name
+        # no catalog parameter reaches an exploding generator, so serve one under a
+        # new name: e^{400 t} overflows before the horizon 2
         entry = cli.get_entry("pure_semigroup")
-        stiff = replace(entry.problem, generator=[[-400.0]])
+        stiff = replace(entry.problem, generator=[[400.0]])
         monkeypatch.setattr(cli, "get_entry", lambda name: replace(
             entry, problem=stiff, factory=lambda: (stiff, entry.lipschitz)))
         path = tmp_path / "c.yaml"

@@ -19,7 +19,8 @@ HORIZON = 2.0
 
 
 def ref_interp(grid, vals, ts):
-    ts = np.asarray(ts, dtype=float)
+    # a query past either end reads that end node exactly
+    ts = np.clip(np.asarray(ts, dtype=float), grid[0], grid[-1])
     idx = np.searchsorted(grid, ts, side="left")
     idx = np.clip(idx, 0, len(grid) - 1)
     exact = grid[idx] == ts

@@ -248,25 +248,40 @@ class TestSolveMild:
         assert err.value.segment_index == 0
         assert err.value.last_gap > 1e-12
 
-    def test_stiff_generator_raises_instead_of_returning_nan(self):
-        # e^{400 tau} overflows in the Duhamel identity: the first sweep is NaN
+    def test_stiff_generator_decays_exactly(self):
+        # forward propagation never forms e^{+400 tau}: w(t) = e^{-400 t} w(0), and
+        # w(2) = e^{-800} underflows to 0.0
         problem = replace(get_entry("pure_semigroup").problem, generator=[[-400.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ConvergenceError, match="non-finite") as err:
-                solve_mild(problem, Discretization(step=1e-2), CTRL)
-        assert err.value.segment_index == 0
-        assert err.value.iterations == 1
-        assert not np.isfinite(err.value.last_gap)
+        with np.errstate(over="raise", invalid="raise"):
+            traj, report = solve_mild(problem, Discretization(step=1e-2), CTRL)
+        assert all(np.all(np.isfinite(v)) for _, v in traj.blocks)
+        assert np.exp(-800.0) == 0.0
+        assert traj.eval(2.0).tolist() == [0.0]
+        ts = traj.blocks[1][0]
+        early = ts <= 1.5
+        assert np.allclose(traj.blocks[1][1][early, 0], np.exp(-400.0 * ts[early]),
+                           rtol=1e-12, atol=0.0)
+        assert np.isfinite(report.final_residual)
 
-    def test_non_finite_residual_raises(self):
-        # an impulse at 1 keeps each segment's propagators finite, but the
-        # residual's e^{400 s} over the whole horizon overflows
+    def test_stiff_generator_decays_exactly_across_an_impulse(self):
+        # a zero jump at 1 splits the decay into two segments; the residual runs
+        # over the whole horizon, where e^{+400 s} would overflow
         problem = replace(get_entry("pure_semigroup").problem, generator=[[-400.0]],
                           jump_maps=(lambda x: 0.0 * x,), impulse_times=[1.0],
                           theta_offsets=[0.0], tau_offsets=[0.0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ConvergenceError, match="residual") as err:
-                solve_mild(problem, Discretization(step=1e-2), CTRL)
+        with np.errstate(over="raise", invalid="raise"):
+            traj, report = solve_mild(problem, Discretization(step=1e-2), CTRL)
+        assert all(np.all(np.isfinite(v)) for _, v in traj.blocks)
+        assert traj.eval(2.0).tolist() == [0.0]
+        assert traj.eval(1.0)[0] == pytest.approx(np.exp(-400.0), rel=1e-12)
+        assert np.isfinite(report.final_residual)
+
+    def test_nan_residual_raises(self, monkeypatch):
+        import impulsedde.solver as solver
+
+        monkeypatch.setattr(solver, "mild_residual", lambda *args: float("nan"))
+        with pytest.raises(ConvergenceError, match="residual") as err:
+            solve_mild(get_entry("pure_semigroup").problem, Discretization(step=1e-2), CTRL)
         assert not np.isfinite(err.value.last_gap)
 
     def test_iteration_counts_stable_under_refinement(self):

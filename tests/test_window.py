@@ -158,8 +158,7 @@ def test_reads_past_coverage_end_continue_the_end_value(data):
     for frac in (0.5, 1.0):
         # history_segment accepts t up to this far past the coverage end
         t = end + frac * _EDGE_TOL * (1.0 + traj.horizon)
-        # traj.eval(t) interpolates v[-2] + 1 * (v[-1] - v[-2]) there, which is
-        # not always the end node's value; the window keeps that value exactly
+        # the window keeps the end node's value exactly
         ref = reference_segment(traj, t, traj.eval(end))
         assert_reads_match(traj.history_segment(t), ref, thetas_for(data.draw, traj, t))
 
