@@ -424,8 +424,11 @@ def dependence_function_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg:
     return prefactor * _growth_tail(inst, tq)
 
 
-def _history_gap(a: ImpulsiveProblem, b: ImpulsiveProblem, samples: int = 1025) -> float:
-    ts = np.linspace(-min(a.delay, b.delay), 0.0, samples)
+def _history_gap(a: ImpulsiveProblem, b: ImpulsiveProblem) -> float:
+    """Sup gap of the histories at 1,025 points of [-min r, 0] (`validate`'s, at equal r)."""
+    if a.delay == b.delay:
+        return float(np.max(np.abs(a._history_samples - b._history_samples)))
+    ts = np.linspace(-min(a.delay, b.delay), 0.0, 1025)
     return float(np.max(np.abs(a.history_values(ts) - b.history_values(ts))))
 
 

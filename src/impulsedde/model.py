@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,13 +83,18 @@ def node_rows(kernel, n: int, times: np.ndarray, *args, lead: int = 1) -> np.nda
     """The kernel at every node: `lead` copies of the node time, then row i of
     each of `args` (the node's window first for V, U and G; none for the
     history). A marked kernel is called once over all nodes, unless its window
-    is not a `_Windows`; any other kernel once per node."""
+    is not a `_Windows`; any other kernel once per node, and its returns are
+    converted together (row by row through `as_state` only to raise its error)."""
     if getattr(kernel, "batched", False) and (not args or isinstance(args[0], _Windows)):
         return as_rows(kernel(*(times,) * lead, *args), len(times), n)
-    rows = np.empty((len(times), n))
-    for i, node in enumerate(zip(*[times.tolist()] * lead, *args, strict=True)):
-        rows[i] = as_state(kernel(*node), n)
-    return rows
+    out = [kernel(*node) for node in zip(*[times.tolist()] * lead, *args, strict=True)]
+    try:
+        rows = np.array(out, dtype=float)
+        if rows.shape == (len(out), n) or n == 1 and rows.shape == (len(out),):
+            return rows.reshape(len(out), n)
+    except (TypeError, ValueError):  # ragged returns
+        pass
+    return np.array([as_state(x, n) for x in out]).reshape(len(out), n)
 
 
 def t_rows(raw, T: int, n: int) -> np.ndarray:
@@ -156,6 +162,12 @@ class ImpulsiveProblem:
     def history_values(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         return node_rows(self.history, self.dimension, times)
+
+    @cached_property
+    def _history_samples(self) -> np.ndarray:
+        """The history at 1,025 even points of [-r, 0], sampled once: `validate`
+        checks them and `bounds` measures the initial gap on them."""
+        return self.history_values(np.linspace(-self.delay, 0.0, 1025))
 
 
 @dataclass(frozen=True)
@@ -279,15 +291,16 @@ def validate(problem: ImpulsiveProblem) -> list:
 
     # sampled continuity of the history and kernel shape probes
     try:
-        ts = np.linspace(-problem.delay, 0.0, 1025)
-        hv = problem.history_values(ts)
-        jumps = np.max(np.abs(np.diff(hv, axis=0)), axis=1)
-        scale = 1.0 + float(np.max(np.abs(hv)))
-        if np.max(jumps) > 0.1 * scale:
-            out.append("history fails the sampled continuity check")
+        hv = problem._history_samples
     except Exception as exc:  # noqa: BLE001 - report, do not crash validation
         out.append(f"history evaluation failed: {exc}")
         return out
+    if not np.all(np.isfinite(hv)):
+        out.append("history has non-finite samples")
+        return out
+    jumps = np.max(np.abs(np.diff(hv, axis=0)), axis=1)
+    if np.max(jumps) > 0.1 * (1.0 + float(np.max(np.abs(hv)))):
+        out.append("history fails the sampled continuity check")
 
     out += _kernel_probe(problem)
     zero = np.zeros(n)

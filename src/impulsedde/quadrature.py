@@ -25,6 +25,8 @@ class KernelU:
     (`model.probe_t`: one vector-t call, checked against scalar calls at both
     ends); if not, every later call is a scalar loop. A broadcasting U that
     returns one row for two or more times ignores t, and `t_free` records that.
+    A broadcast call's result is used as returned when it is already a float
+    (T, n) array, or (T,) when n = 1.
     """
 
     def __init__(self, problem: ImpulsiveProblem):
@@ -34,6 +36,14 @@ class KernelU:
         self.t_free = False
 
     def __call__(self, ts, s, seg) -> np.ndarray:
+        if self._mode == "batch":
+            col = self._U(ts, s, seg)
+            if type(col) is np.ndarray and col.dtype == float:
+                if col.shape == (len(ts), self._n):
+                    return col
+                if col.shape == (len(ts),) and self._n == 1:
+                    return col[:, None]
+            return t_rows(col, len(ts), self._n)
         ts = np.asarray(ts, dtype=float)
         s = float(s)
         if self._mode is None:
@@ -42,14 +52,12 @@ class KernelU:
                 self._mode, self.t_free = "batch", probe[1]
                 return probe[0]
             self._mode = "scalar"
-        if self._mode == "batch":
-            return t_rows(self._U(ts, s, seg), len(ts), self._n)
         return np.stack([as_state(self._U(float(t), s, seg), self._n) for t in ts])
 
-    def ignores_t(self, ts, s, seg) -> bool:
-        """Whether U ignores t; if U is not probed yet, probe it at (ts, s, seg)."""
+    def ignores_t(self, ts, ss, segs) -> bool:
+        """Whether U ignores t; if U is not probed yet, probe it at (ts, ss[0], segs[0])."""
         if self._mode is None:
-            self(ts, s, seg)
+            self(ts, ss[0], segs[0])
         return self.t_free
 
     def rows(self, ss, segs) -> np.ndarray:
@@ -109,14 +117,14 @@ def volterra_rect(kernel, t_nodes, sigma_times, sigma_segs, n):
     w = np.zeros(len(sigma_times))
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
-    if kernel.ignores_t(t_nodes, sigma_times[0], sigma_segs[0]):
+    if kernel.ignores_t(t_nodes, sigma_times, sigma_segs):
         total = _sequential_sum(w, kernel.rows(sigma_times, sigma_segs), w == 0.0)[-1]
         out[:] = total
         return out
-    for i, wi in enumerate(w):
+    for i, (wi, si) in enumerate(zip(w, sigma_times.tolist())):
         if wi == 0.0:
             continue
-        out += wi * kernel(t_nodes, sigma_times[i], sigma_segs[i])
+        out += wi * kernel(t_nodes, si, sigma_segs[i])
     return out
 
 
@@ -127,7 +135,7 @@ def volterra_tri(kernel, nodes, segs, n):
     if T < 2:
         return z
     d = np.diff(nodes)
-    if kernel.ignores_t(nodes, nodes[0], segs[0]):
+    if kernel.ignores_t(nodes, nodes, segs):
         # column i adds R_i = (d_i / 2) u_i to z[i+1:] and L_i = (d_{i-1} / 2) u_i
         # to z[i:], so z[j] sums 0, R_0, L_1, R_1, ..., R_{j-1}, L_j in this order
         u = kernel.rows(nodes, segs)
@@ -136,14 +144,16 @@ def volterra_tri(kernel, nodes, segs, n):
         terms[0::2] = u[:-1]
         terms[1::2] = u[1:]
         return _sequential_sum(half, terms, np.repeat(d == 0.0, 2))[0::2]
-    for i in range(T):
-        left = d[i - 1] if i > 0 else 0.0
-        right = d[i] if i < T - 1 else 0.0
+    # column i adds (d_{i-1} / 2) col to z[i:], then (d_i / 2) col[1:] to z[i+1:]
+    half = (0.5 * d).tolist()
+    for i, (left, right, s) in enumerate(zip([0.0] + half, half + [0.0], nodes.tolist())):
         if left == 0.0 and right == 0.0:
             continue
-        col = kernel(nodes[i:], nodes[i], segs[i])
+        col = kernel(nodes[i:], s, segs[i])
+        zi = z[i:]
         if left != 0.0:
-            z[i:] += 0.5 * left * col
+            zi += left * col
         if right != 0.0:
-            z[i + 1 :] += 0.5 * right * col[1:]
+            zi = zi[1:]
+            zi += right * col[1:]
     return z

@@ -326,8 +326,9 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory,
                   disc: Discretization = Discretization()) -> float:
     """Sup defect of w(t) against the mild formula at the native nodes.
 
-    All integrals are recomputed on a grid twice as fine as the trajectory's
-    own nodes; right limits at impulse times are checked via eval_right.
+    All integrals are recomputed on the trajectory's own nodes plus their
+    midpoints; right limits at impulse times are checked via eval_right. `disc`
+    is ignored: the refined grid comes from the trajectory alone.
     """
     n = problem.dimension
     if not traj.complete:

@@ -226,9 +226,15 @@ class _Windows:
     def __getitem__(self, i: int) -> _Window:
         # a row holds no reference to its parent, so the two form no cycle
         row = _Window.__new__(_Window)
-        vars(row).update(_view=self._view, _t=float(self.times[i]), _j0=int(self._j0[i]),
-                         _j1=int(self._j1[i]), _low=self._low[i], _high=self._high[i])
+        t, j0, j1 = self._rows
+        vars(row).update(_view=self._view, _t=t[i], _j0=j0[i], _j1=j1[i], _low=self._low[i],
+                         _high=self._high[i])
         return row
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """Each row's time and brackets as Python lists, converted once."""
+        return self.times.tolist(), self._j0.tolist(), self._j1.tolist()
 
     @cached_property
     def _low(self) -> np.ndarray:

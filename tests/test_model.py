@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from impulsedde import batched, build_catalog, get_entry, validate
+from impulsedde import Discretization, batched, build_catalog, get_entry, solve_mild, validate
 from impulsedde.trajectory import _Window, _Windows
 
 
@@ -116,6 +116,18 @@ class TestValidate:
             history=lambda t: 0.0 if t < -0.5 else 1.0,
         )
         assert any("continuity" in msg for msg in validate(p))
+
+    @pytest.mark.parametrize("history", [
+        lambda t: np.nan if abs(t + 0.25) < 1e-3 else 0.4 * (1.0 + t),  # NaN near -0.25
+        lambda t: np.inf if t < -0.49 else 0.4 * (1.0 + t),  # inf below -0.49
+    ])
+    def test_non_finite_history_flagged(self, catalog, history):
+        # NaN fails every comparison and inf - inf is NaN, so the continuity check
+        # alone passed both; the solve then failed with "non-finite iterate"
+        p = replace(catalog["parameter_family"].problem, history=history)
+        assert validate(p) == ["history has non-finite samples"]
+        with pytest.raises(ValueError, match="invalid problem: history has non-finite samples"):
+            solve_mild(p, Discretization(step=5e-3))
 
     def test_bad_kernel_shape(self, catalog):
         p = replace(
