@@ -54,11 +54,10 @@ class KernelU:
             self._mode = "scalar"
         return np.stack([as_state(self._U(float(t), s, seg), self._n) for t in ts])
 
-    def ignores_t(self, ts, ss, segs) -> bool:
-        """Whether U ignores t; if U is not probed yet, probe it at (ts, ss[0], segs[0])."""
-        if self._mode is None:
-            self(ts, ss[0], segs[0])
-        return self.t_free
+    def probe(self, ts, s, seg):
+        """Probe U at (ts, s, seg) unless it is probed already; then `t_free` is
+        known. Returns U's column there when it probed, else None."""
+        return self(ts, s, seg) if self._mode is None else None
 
     def rows(self, ss, segs) -> np.ndarray:
         """u_i = U(s_i, s_i, w_{s_i}) for every node, for a U that ignores t."""
@@ -117,14 +116,17 @@ def volterra_rect(kernel, t_nodes, sigma_times, sigma_segs, n):
     w = np.zeros(len(sigma_times))
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
-    if kernel.ignores_t(t_nodes, sigma_times, sigma_segs):
+    probed = kernel.probe(t_nodes, sigma_times[0], sigma_segs[0])
+    if kernel.t_free:
         total = _sequential_sum(w, kernel.rows(sigma_times, sigma_segs), w == 0.0)[-1]
         out[:] = total
         return out
     for i, (wi, si) in enumerate(zip(w, sigma_times.tolist())):
         if wi == 0.0:
             continue
-        out += wi * kernel(t_nodes, si, sigma_segs[i])
+        # column 0 is the probe's column when U was probed here
+        col = probed if i == 0 and probed is not None else kernel(t_nodes, si, sigma_segs[i])
+        out += wi * col
     return out
 
 
@@ -135,7 +137,8 @@ def volterra_tri(kernel, nodes, segs, n):
     if T < 2:
         return z
     d = np.diff(nodes)
-    if kernel.ignores_t(nodes, nodes, segs):
+    probed = kernel.probe(nodes, nodes[0], segs[0])
+    if kernel.t_free:
         # column i adds R_i = (d_i / 2) u_i to z[i+1:] and L_i = (d_{i-1} / 2) u_i
         # to z[i:], so z[j] sums 0, R_0, L_1, R_1, ..., R_{j-1}, L_j in this order
         u = kernel.rows(nodes, segs)
@@ -149,7 +152,8 @@ def volterra_tri(kernel, nodes, segs, n):
     for i, (left, right, s) in enumerate(zip([0.0] + half, half + [0.0], nodes.tolist())):
         if left == 0.0 and right == 0.0:
             continue
-        col = kernel(nodes[i:], s, segs[i])
+        # column 0 is the probe's column when U was probed here
+        col = probed if i == 0 and probed is not None else kernel(nodes[i:], s, segs[i])
         zi = z[i:]
         if left != 0.0:
             zi += left * col

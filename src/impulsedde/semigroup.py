@@ -15,22 +15,19 @@ SAFETY_FACTOR = 1.0 + 1e-6
 
 @dataclass(frozen=True)
 class SemigroupBound:
-    """Finite-horizon bound sup_{0<=t<=b} ||e^{At}|| <= M, with omega kept at 0.
+    """Finite-horizon bound sup_{0<=t<=b} ||e^{At}|| <= M.
 
     The growth rate is absorbed into the horizon supremum, so M alone feeds
     every downstream estimate.
     """
 
     M: float
-    omega: float
     horizon: float
     sample_count: int
 
     def __post_init__(self):
         if not 1.0 <= self.M < math.inf:
             raise ValueError(f"M must be finite and >= 1, got {self.M}")
-        if self.omega != 0.0:
-            raise ValueError("omega is recorded as 0 on a finite horizon")
         if not 0.0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.sample_count < 2:
@@ -105,4 +102,4 @@ def operator_norm_bound(A, horizon: float, samples: int = 1024) -> SemigroupBoun
     stack = propagator_stack(A, ts)
     norms = np.abs(stack).sum(axis=2).max(axis=1)
     M = max(1.0, float(np.max(norms))) * SAFETY_FACTOR
-    return SemigroupBound(M=M, omega=0.0, horizon=horizon, sample_count=samples)
+    return SemigroupBound(M=M, horizon=horizon, sample_count=samples)

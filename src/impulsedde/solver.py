@@ -126,7 +126,7 @@ def jump_value(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, k: int) -> 
 def volterra_term(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, t: float) -> np.ndarray:
     """int_0^t U(t, s, w_s) ds by composite trapezoid on the native nodes."""
     t = float(t)
-    if t < 0.0 or t > traj.coverage_end + 1e-12:
+    if not 0.0 <= t <= traj.coverage_end + 1e-12:
         raise ValueError(f"t={t} outside the trajectory's coverage [0, {traj.coverage_end}]")
     n = problem.dimension
     if t == 0.0:

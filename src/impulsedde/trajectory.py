@@ -7,7 +7,6 @@ separately and doubles as the first node of the following block.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +15,7 @@ import numpy as np
 __all__ = ["HistorySegment", "PiecewiseTrajectory", "sigma_diff"]
 
 _EDGE_TOL = 1e-9
+_KEPT_READS = 64  # distinct thetas a `_Windows` keeps the reads of for its rows
 
 
 def _as_nodes(times, values, n):
@@ -65,8 +65,8 @@ class HistorySegment:
     gives that sample exactly, and NaN reads the theta = 0 sample. The solver
     reads every node's window through one `_Windows` (`_StateView.windows`);
     kernels marked `batched` get it whole, the others its rows, `_Window`s
-    that read the trajectory's node arrays in place and build `theta_grid`
-    and `values` only when asked.
+    whose scalar reads are rows of its array reads and which build
+    `theta_grid` and `values` only when asked.
     """
 
     theta_grid: np.ndarray
@@ -123,17 +123,15 @@ class _StateView:
         self.delay = delay
         self.times = times
         self.values = values
-        self._time_list = times.tolist()
         keep = np.empty(len(times), dtype=bool)
         keep[0] = True
         np.greater(times[1:], times[:-1], out=keep[1:])
         self.node_times = times[keep]
         self.node_values = values[keep]
-        self.node_list = self.node_times.tolist()
 
     def eval_right(self, t: float) -> np.ndarray:
-        i = bisect_right(self._time_list, t) - 1
-        if i >= 0 and self._time_list[i] == t:
+        i = np.searchsorted(self.times, t, side="right") - 1
+        if i >= 0 and self.times[i] == t:
             return self.values[i]
         return _interp_sorted(self.times, self.values, np.array([t]))[0]
 
@@ -144,29 +142,34 @@ class _StateView:
 
 
 class _Window(HistorySegment):
-    """Row i of a `_Windows`: w_t read from a view's shared node arrays instead
-    of a copied sample grid.
+    """Row i of a `_Windows`: w_t read through its parent instead of a copied
+    sample grid.
 
-    The sample grid it stands for is theta = -r (value w((t - r)^-)), every
-    view node strictly inside the window, and theta = 0 (the row's end value).
-    Scalar reads give row i of the parent's reads bit for bit; `theta_grid`,
-    `values` and array reads build the grid on first use and keep it.
+    A scalar read w(theta) copies row i of the parent's read `W(theta)`, which
+    the rows share: it is made once per distinct theta and kept (at most
+    _KEPT_READS of them, so a theta that moves from row to row costs a whole
+    read per call but no T x T memory). The sample grid it stands for is
+    theta = -r (value w((t - r)^-)), every view node strictly inside the
+    window, and theta = 0 (the row's end value); `theta_grid`, `values` and
+    array reads build it from the parent's arrays on first use and keep it.
     `_Window(view, t, end_value)` is the one row of `view.windows([t])`, with
     w(t^-) as its end value when `end_value` is None.
     """
 
     def __init__(self, view: _StateView, t: float, end_value=None):
         ends = None if end_value is None else np.reshape(end_value, (1, -1))
-        vars(self).update(vars(view.windows(np.array([t]), ends)[0]))
+        vars(self).update(_parent=view.windows(np.array([t]), ends), _i=0)
 
     def __getattr__(self, name):
         # the sample grid is built on first use and kept in the instance dict,
         # where later lookups find it directly
         if name not in ("theta_grid", "values"):
             raise AttributeError(name)
-        view, t, j0, j1 = self._view, self._t, self._j0, self._j1
-        thetas = np.concatenate(([-view.delay], view.node_times[j0:j1] - t, [0.0]))
-        values = np.concatenate((self._low[None, :], view.node_values[j0:j1], self._high[None, :]))
+        parent, i = self._parent, self._i
+        view, j0, j1 = parent._view, parent._j0[i], parent._j1[i]
+        thetas = np.concatenate(([-view.delay], view.node_times[j0:j1] - parent.times[i], [0.0]))
+        values = np.concatenate((parent._low[i:i + 1], view.node_values[j0:j1],
+                                 parent._high[i:i + 1]))
         HistorySegment.__init__(self, thetas, values)
         return vars(self)[name]
 
@@ -175,29 +178,15 @@ class _Window(HistorySegment):
             if np.ndim(theta) != 0:
                 return HistorySegment.__call__(self, theta)
             theta = float(theta)
-        view, t = self._view, self._t
-        r = view.delay
-        pad = _EDGE_TOL * (1.0 + r)
-        if theta < -r - pad or theta > pad:
-            raise ValueError(f"theta={theta} outside [{-r}, 0]")
-        if theta < -r:
-            return self._low.copy()
-        if not theta < 0.0:  # NaN too, as on every reader
-            return self._high.copy()
-        nodes, vals, j0, j1 = view.node_list, view.node_values, self._j0, self._j1
-        # last sample at or below theta; j = j0 - 1 is the theta = -r sample.
-        # t + theta is rounded, so the bracket is settled in theta-space.
-        j = bisect_right(nodes, t + theta, j0, j1) - 1
-        while j + 1 < j1 and nodes[j + 1] - t <= theta:
-            j += 1
-        while j >= j0 and nodes[j] - t > theta:
-            j -= 1
-        ga, va = (-r, self._low) if j < j0 else (nodes[j] - t, vals[j])
-        if theta == ga:  # on a sample: the sample itself, not va + 0 * (vb - va)
-            return va.copy()
-        gb, vb = (nodes[j + 1] - t, vals[j + 1]) if j + 1 < j1 else (0.0, self._high)
-        frac = (theta - ga) / (gb - ga)
-        return va + frac * (vb - va)
+        if theta != theta:  # NaN reads theta = 0, as on every reader, and is no key
+            theta = 0.0
+        reads = self._parent._reads
+        rows = reads.get(theta)
+        if rows is None:
+            if len(reads) == _KEPT_READS:
+                reads.clear()
+            rows = reads[theta] = self._parent(theta)
+        return rows[self._i].copy()
 
 
 class _Windows:
@@ -206,8 +195,10 @@ class _Windows:
     Row i of `W(theta)` reads the window of times[i]: one searchsorted over the
     view's node arrays, bracket corrections in theta-space, the sentinels
     w((t - r)^-) at theta = -r and ends[i] (w(t^-) when `ends` is None) at
-    theta = 0. `W[i]` is that row as a `_Window`, for kernels that are called
-    node by node; its scalar reads give the same bits element by element.
+    theta = 0: the one bracket search of a delayed-state window. `W[i]` is row
+    i as a `_Window`, for kernels that are called node by node; its scalar
+    reads are rows of `W(theta)`, so the first read at a theta reads every row
+    there and later rows at that theta are lookups.
     """
 
     def __init__(self, view: _StateView, times: np.ndarray, ends=None):
@@ -222,19 +213,14 @@ class _Windows:
                 break
             j0 += inside
         self._view, self.times, self._ends, self._j0, self._j1 = view, times, ends, j0, j1
+        self._reads = {}  # theta -> W(theta), kept for the rows' scalar reads
 
     def __getitem__(self, i: int) -> _Window:
-        # a row holds no reference to its parent, so the two form no cycle
+        # a row refers to its parent, never the reverse, so the two form no cycle;
+        # an index past the end raises IndexError, which ends iteration over rows
         row = _Window.__new__(_Window)
-        t, j0, j1 = self._rows
-        vars(row).update(_view=self._view, _t=t[i], _j0=j0[i], _j1=j1[i], _low=self._low[i],
-                         _high=self._high[i])
+        vars(row).update(_parent=self, _i=range(len(self.times))[i])
         return row
-
-    @cached_property
-    def _rows(self) -> tuple:
-        """Each row's time and brackets as Python lists, converted once."""
-        return self.times.tolist(), self._j0.tolist(), self._j1.tolist()
 
     @cached_property
     def _low(self) -> np.ndarray:
@@ -393,7 +379,7 @@ class PiecewiseTrajectory:
 
     def _check_domain(self, t: float, upper: float):
         pad = _EDGE_TOL * (1.0 + self.horizon + self.delay)
-        if t < -self.delay - pad or t > upper + pad:
+        if not -self.delay - pad <= t <= upper + pad:  # NaN too
             raise ValueError(f"t={t} outside [{-self.delay}, {upper}]")
 
     def eval(self, t: float) -> np.ndarray:
@@ -429,7 +415,7 @@ class PiecewiseTrajectory:
     def history_segment(self, t: float) -> HistorySegment:
         """The element w_t of C([-r, 0]) sampled on the native nodes in [t-r, t]."""
         t = float(t)
-        if t < -_EDGE_TOL or t > self.coverage_end + _EDGE_TOL * (1.0 + self.horizon):
+        if not -_EDGE_TOL <= t <= self.coverage_end + _EDGE_TOL * (1.0 + self.horizon):
             raise ValueError(f"t={t} outside [0, {self.coverage_end}]")
         return _Window(self._view, t)
 

@@ -64,7 +64,6 @@ class TestOperatorNormBound:
         sg = operator_norm_bound(np.zeros((2, 2)), 2.0)
         assert sg.M == pytest.approx(1.0, rel=2e-6)
         assert sg.M >= 1.0
-        assert sg.omega == 0.0
 
     def test_scalar_growth(self):
         sg = operator_norm_bound([[1.0]], 2.0)
@@ -93,7 +92,7 @@ class TestOperatorNormBound:
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            SemigroupBound(M=0.5, omega=0.0, horizon=1.0, sample_count=2)
+            SemigroupBound(M=0.5, horizon=1.0, sample_count=2)
         with pytest.raises(ValueError):
             operator_norm_bound([[1.0]], -1.0)
         with pytest.raises(ValueError):
@@ -105,7 +104,7 @@ class TestOperatorNormBound:
         with pytest.raises(ValueError, match="horizon"):
             operator_norm_bound([[1.0]], value)
         with pytest.raises(ValueError, match="M must be finite"):
-            SemigroupBound(M=value, omega=0.0, horizon=1.0, sample_count=2)
+            SemigroupBound(M=value, horizon=1.0, sample_count=2)
 
 
 @pytest.mark.parametrize("A", [[[float("nan")]], [[1.0, float("inf")], [0.0, 1.0]],
@@ -121,5 +120,5 @@ def test_non_finite_generator_rejected(A):
 def test_bound_rejects_bad_horizon_and_sample_count(horizon, sample_count):
     # a NaN horizon used to pass existence_certificate's horizon check
     with pytest.raises(ValueError, match="horizon|sample_count"):
-        SemigroupBound(M=1.0, omega=0.0, horizon=horizon, sample_count=sample_count)
-    SemigroupBound(M=1.0, omega=0.0, horizon=1.0, sample_count=2)
+        SemigroupBound(M=1.0, horizon=horizon, sample_count=sample_count)
+    SemigroupBound(M=1.0, horizon=1.0, sample_count=2)

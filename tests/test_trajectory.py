@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from impulsedde import HistorySegment, PiecewiseTrajectory, sigma_diff
+from impulsedde import HistorySegment, PiecewiseTrajectory, sigma_diff, volterra_term
 
 
 def make_jump_trajectory():
@@ -94,6 +94,21 @@ class TestEval:
         assert traj.eval(2.0)[0] == 1.0
         with pytest.raises(ValueError):
             traj.eval_right(2.0)
+
+
+@pytest.mark.parametrize("read", [
+    lambda problem, traj, t: traj.eval(t),
+    lambda problem, traj, t: traj.eval_right(t),
+    lambda problem, traj, t: traj.history_segment(t)(-0.1),
+    lambda problem, traj, t: volterra_term(problem, traj, t),
+], ids=["eval", "eval_right", "history_segment", "volterra_term"])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_times_outside_the_domain_raise(read, t, solve_cache):
+    # a NaN time fails every comparison, so a check written as t < lo or t > hi
+    # lets it through to read [nan nan]
+    problem, _, traj, _ = solve_cache("windowed_impulse")
+    with pytest.raises(ValueError):
+        read(problem, traj, t)
 
 
 class TestHistorySegmentOp:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from impulsedde import HistorySegment, PiecewiseTrajectory
-from impulsedde.trajectory import _EDGE_TOL, _Window
+from impulsedde.model import node_rows
+from impulsedde.trajectory import _EDGE_TOL, _KEPT_READS, _Window, _Windows
 
 HORIZON = 2.0
 
@@ -200,12 +201,43 @@ def test_scalar_reads_equal_array_reads(segment, extra):
     assert segment(float("nan")).tobytes() == segment.values[-1].tobytes()
 
 
-def test_rows_and_their_windows_form_no_cycle():
-    traj = PiecewiseTrajectory(1, 1.0, HORIZON, [], (
+def ramp():
+    return PiecewiseTrajectory(1, 1.0, HORIZON, [], (
         (np.linspace(-1.0, 0.0, 5), np.arange(5.0)[:, None]),
         (np.linspace(0.0, HORIZON, 9), np.arange(4.0, 13.0)[:, None]),
     ), np.zeros((0, 1)))
-    windows = traj._view.windows(np.array([0.5, 1.0, 1.5]))
+
+
+def test_rows_read_each_theta_once(monkeypatch):
+    reads = []
+    read = _Windows.__call__
+
+    def counted(self, theta):
+        reads.append(theta)
+        return read(self, theta)
+
+    monkeypatch.setattr(_Windows, "__call__", counted)
+    windows = ramp()._view.windows(np.linspace(0.3, 1.9, 7))
+
+    def kernel(t, w):
+        # NaN, -0.0 and 0.0 all read theta = 0
+        return w(-0.3) + w(np.float64(-0.3)) + w(-0.75) + w(float("nan")) + w(-0.0) + w(0.0)
+
+    rows = node_rows(kernel, 1, windows.times, windows)
+    assert sorted(reads) == [-0.75, -0.3, 0.0]
+    a, b, c = windows(-0.3), windows(-0.75), windows(0.0)
+    assert rows.tobytes() == (a + a + b + c + c + c).tobytes()
+
+
+def test_a_moving_theta_keeps_a_bounded_number_of_reads():
+    windows = ramp()._view.windows(np.linspace(0.3, 1.9, 7))
+    for theta in np.linspace(-1.0, 0.0, 3 * _KEPT_READS).tolist():
+        assert windows[3](theta).tobytes() == windows(theta)[3].tobytes()
+        assert len(windows._reads) <= _KEPT_READS
+
+
+def test_rows_and_their_windows_form_no_cycle():
+    windows = ramp()._view.windows(np.array([0.5, 1.0, 1.5]))
     row = windows[1]
     row(-0.5)
     row.values  # build the row's sample grid too
@@ -213,9 +245,10 @@ def test_rows_and_their_windows_form_no_cycle():
     gc.disable()
     try:
         del windows
-        assert parent() is None  # a live row does not keep its windows alive
+        assert parent() is not None  # a live row keeps its windows alive
         del row
-        assert child() is None  # freed by reference counting, not by the collector
+        # the last row's end frees both by reference counting, not by the collector
+        assert child() is None and parent() is None
     finally:
         gc.enable()
 
