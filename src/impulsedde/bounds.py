@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -342,12 +342,9 @@ def _reduction_instance(problem: ImpulsiveProblem, lip: LipschitzData, sg: Semig
     )
 
 
-def _growth_tail(inst: PachpatteInstance, t_query: float) -> float:
-    """prod_{t_k < t_query} C_k * exp of the horizon-uniform exponential from t_alpha."""
-    alpha = int(np.searchsorted(inst.impulse_times, t_query, side="left"))
-    F_alpha, prods = inst._alpha_tables
-    F_b = inst._F_at(np.array([inst.horizon]))[0]
-    return float(prods[alpha]) * math.exp(F_b - F_alpha[alpha])
+def _growth_tail(inst: PachpatteInstance) -> float:
+    """The bound curve at b for n = 1: prod_k C_k * exp(int_{t_m}^b f[1 + int g])."""
+    return float(pachpatte_curve(inst, np.array([inst.horizon]))[0])
 
 
 def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBound,
@@ -383,22 +380,20 @@ def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBo
         Q += M * float(np.max(np.abs(as_state(problem.jump_maps[k - 1](wI), n))))
 
     prefactor = M * varsigma_norm + H + Q
-    return prefactor * _growth_tail(inst, problem.horizon)
+    return prefactor * _growth_tail(inst)
 
 
 def dependence_initial_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBound,
-                             varsigma_gap: float, t_query: Optional[float] = None) -> float:
+                             varsigma_gap: float) -> float:
     """Sigma-norm gap bound for two solutions differing only in their histories."""
     if not 0.0 <= varsigma_gap < math.inf:
         raise ValueError(f"varsigma_gap must be finite and >= 0, got {varsigma_gap}")
-    tq = problem.horizon if t_query is None else float(t_query)
     inst = _reduction_instance(problem, lip, sg)
-    return sg.M * float(varsigma_gap) * _growth_tail(inst, tq)
+    return sg.M * float(varsigma_gap) * _growth_tail(inst)
 
 
 def dependence_parameter_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBound,
-                               rho_gap: float, mu_gap: float,
-                               t_query: Optional[float] = None) -> float:
+                               rho_gap: float, mu_gap: float) -> float:
     """Gap bound under parameter shifts rho in V and mu in G.
 
     Uses the parameter-uniform moduli N_V_tilde / L_G_tilde inside the growth
@@ -406,22 +401,20 @@ def dependence_parameter_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg
     """
     if not (0.0 <= rho_gap < math.inf and 0.0 <= mu_gap < math.inf):
         raise ValueError(f"parameter gaps must be finite and >= 0, got {rho_gap}, {mu_gap}")
-    tq = problem.horizon if t_query is None else float(t_query)
     b, M = problem.horizon, sg.M
     inst = _reduction_instance(problem, lip, sg, tilde=True)
     prefactor = b * M * lip.Omega_1 * float(rho_gap)
     prefactor += sum(2.0 * b * M * lip.Omega_2 * d * float(mu_gap) for d in lip.D_k)
-    return prefactor * _growth_tail(inst, tq)
+    return prefactor * _growth_tail(inst)
 
 
-def dependence_function_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBound,
-                              t_query: Optional[float] = None) -> float:
+def dependence_function_bound(problem: ImpulsiveProblem, lip: LipschitzData,
+                              sg: SemigroupBound) -> float:
     """Gap bound against a perturbed system: (M J + b M P + sum M N_k) * growth."""
-    tq = problem.horizon if t_query is None else float(t_query)
     b, M = problem.horizon, sg.M
     inst = _reduction_instance(problem, lip, sg)
     prefactor = M * lip.J + b * M * lip.P + sum(M * v for v in lip.N_k)
-    return prefactor * _growth_tail(inst, tq)
+    return prefactor * _growth_tail(inst)
 
 
 def _history_gap(a: ImpulsiveProblem, b: ImpulsiveProblem) -> float:

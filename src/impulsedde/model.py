@@ -14,11 +14,11 @@ whether they are called on arrays: once over all T nodes, as V(ts, W, z),
 U(ss, ss, W), G(ss, W) and history(ts), with ts, ss of shape (T,), z of shape
 (T, n) and a window W(theta) -> (T, n) whose row i is w_{ts[i]}(theta). Each
 returns (T, n), or (T,) when n = 1. Unmarked kernels are called node by node
-(`node_rows`) on the rows W[i], whose scalar reads are rows of W's array reads,
-made once per distinct theta; `validate` checks that a marked kernel's rows
-equal its scalar calls bit for bit. The catalog's kernels and constant
-Lipschitz moduli are all marked and shape-generic (`w(theta)[..., 0]`, not
-`w(theta)[0]`).
+(`node_rows`) on the rows W[i], each a HistorySegment whose scalar reads are
+rows of W's array reads, made once per distinct theta; `validate` checks that
+a marked kernel's rows equal its scalar calls bit for bit. The catalog's
+kernels and constant Lipschitz moduli are all marked and shape-generic
+(`w(theta)[..., 0]`, not `w(theta)[0]`).
 
 Whether U broadcasts over its outer time t is found by one probe (`probe_t`,
 run by `quadrature.KernelU` and `validate`): a vector-t call checked against

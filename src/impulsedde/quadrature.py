@@ -4,7 +4,8 @@ trapezoid, breakpoint grids, jump-window node sets and the Volterra sums of U.
 The Volterra sums run column by column over U(t, sigma_i, w_sigma_i) for a U
 that depends on its outer time t. For a U that ignores t they take O(N) form
 over the rows u_i = U(s_i, s_i, w_{s_i}) (one array call for a `batched` U),
-adding the same terms in the same order, so the bits are the same.
+adding the same terms in the same order, so the bits are the same, except a
+NaN's sign.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 A trajectory is stored as node blocks separated by the impulse schedule. Values
 are left-continuous at impulse times; the post-jump value at each t_k is kept
-separately and doubles as the first node of the following block.
+separately and doubles as the first node of the following block. The delayed
+state w_t is a `HistorySegment`, one row of the `_Windows` that read the
+windows of many times together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,51 +58,93 @@ def _interp_sorted(grid, vals, ts):
     return out
 
 
-@dataclass(frozen=True)
-class HistorySegment:
-    """Sampled delayed state: theta -> w(t + theta) for theta in [-r, 0].
+def _samples(theta_grid, values):
+    """A segment's samples as float arrays: theta_grid (m,), values (m, n)."""
+    g = np.ascontiguousarray(np.asarray(theta_grid, dtype=float))
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 1:
+        v = v[:, None]
+    if g.ndim != 1 or len(g) < 2 or v.shape[0] != len(g):
+        raise ValueError("theta_grid and values must be parallel with >= 2 samples")
+    if np.any(np.diff(g) <= 0.0):
+        raise ValueError("theta_grid must be strictly increasing")
+    if g[0] >= 0.0 or g[-1] != 0.0:
+        raise ValueError("theta_grid must start at -r < 0 and end exactly at 0")
+    return g, np.ascontiguousarray(v)
 
-    Evaluation between samples is linear; the sample grid runs from -r to 0.
-    Scalar and array reads both go through `_interp_sorted`: a read on a sample
-    gives that sample exactly, and NaN reads the theta = 0 sample. The solver
-    reads every node's window through one `_Windows` (`_StateView.windows`);
-    kernels marked `batched` get it whole, the others its rows, `_Window`s
-    whose scalar reads are rows of its array reads and which build
-    `theta_grid` and `values` only when asked.
+
+class HistorySegment:
+    """Delayed state: theta -> w(t + theta) for theta in [-r, 0].
+
+    A segment is row `_i` of a `_Windows` `_parent`: the solver hands kernels
+    the rows `W[i]` of the windows of every node, `history_segment(t)` is the
+    one row of the windows at t, and `HistorySegment(theta_grid, values)` is the
+    one row of the windows of its own samples at t = 0. A scalar read w(theta)
+    copies row `_i` of `_parent(theta)`, which the rows share: it is made once
+    per distinct theta and kept (at most _KEPT_READS of them, so a theta that
+    moves from row to row costs a whole read per call but no T x T memory).
+    NaN reads theta = 0.
+
+    The sample grid is theta = -r (value w((t - r)^-)), every view node
+    strictly inside the window and theta = 0 (the row's end value); a row
+    builds `theta_grid` and `values` from its parent's arrays on first use and
+    keeps them. Array reads interpolate on that grid through `_interp_sorted`,
+    which gives the scalar reads' bits. Segments are immutable.
     """
 
-    theta_grid: np.ndarray
-    values: np.ndarray
+    def __init__(self, theta_grid, values):
+        g, v = _samples(theta_grid, values)
+        parent = _StateView(-float(g[0]), g, v).windows(np.zeros(1))
+        vars(self).update(_parent=parent, _i=0, theta_grid=g, values=v)
 
-    def __post_init__(self):
-        g = np.ascontiguousarray(np.asarray(self.theta_grid, dtype=float))
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if g.ndim != 1 or len(g) < 2 or v.shape[0] != len(g):
-            raise ValueError("theta_grid and values must be parallel with >= 2 samples")
-        if np.any(np.diff(g) <= 0.0):
-            raise ValueError("theta_grid must be strictly increasing")
-        if g[0] >= 0.0 or g[-1] != 0.0:
-            raise ValueError("theta_grid must start at -r < 0 and end exactly at 0")
-        object.__setattr__(self, "theta_grid", g)
-        object.__setattr__(self, "values", np.ascontiguousarray(v))
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getattr__(self, name):
+        # a row builds its sample grid on first use and keeps it in the instance
+        # dict, where later lookups find it directly
+        if name not in ("theta_grid", "values"):
+            raise AttributeError(name)
+        parent, i = self._parent, self._i
+        view, j0, j1 = parent._view, parent._j0[i], parent._j1[i]
+        thetas = np.concatenate(([-view.delay], view.node_times[j0:j1] - parent.times[i], [0.0]))
+        values = np.concatenate((parent._low[i:i + 1], view.node_values[j0:j1],
+                                 parent._high[i:i + 1]))
+        vars(self).update(zip(("theta_grid", "values"), _samples(thetas, values)))
+        return vars(self)[name]
+
+    def __repr__(self):
+        return f"HistorySegment(theta_grid={self.theta_grid!r}, values={self.values!r})"
 
     @property
     def dimension(self) -> int:
-        return self.values.shape[1]
+        return self._parent._view.values.shape[1]
 
     @property
     def delay(self) -> float:
-        return -float(self.theta_grid[0])
+        return float(self._parent._view.delay)
 
     def __call__(self, theta):
-        g, theta = self.theta_grid, np.asarray(theta, dtype=float)
-        pad = _EDGE_TOL * (1.0 + self.delay)
-        if np.any(theta < g[0] - pad) or np.any(theta > pad):
-            raise ValueError(f"theta={theta} outside [{g[0]}, 0]")
-        # NaN reads the theta = 0 sample, as on every window reader
-        return _interp_sorted(g, self.values, np.fmin(theta, 0.0))
+        if type(theta) is not float:
+            if np.ndim(theta) != 0:
+                g, theta = self.theta_grid, np.asarray(theta, dtype=float)
+                pad = _EDGE_TOL * (1.0 + self.delay)
+                if np.any(theta < g[0] - pad) or np.any(theta > pad):
+                    raise ValueError(f"theta={theta} outside [{g[0]}, 0]")
+                return _interp_sorted(g, self.values, np.fmin(theta, 0.0))
+            theta = float(theta)
+        if theta != theta:  # NaN reads theta = 0, as on every reader, and is no key
+            theta = 0.0
+        reads = self._parent._reads
+        rows = reads.get(theta)
+        if rows is None:
+            if len(reads) == _KEPT_READS:
+                reads.clear()
+            rows = reads[theta] = self._parent(theta)
+        return rows[self._i].copy()
 
     def sup_norm(self) -> float:
         """Sup norm over the samples (the C([-r,0]) norm on this grid)."""
@@ -141,54 +185,6 @@ class _StateView:
         return _Windows(self, times, ends)
 
 
-class _Window(HistorySegment):
-    """Row i of a `_Windows`: w_t read through its parent instead of a copied
-    sample grid.
-
-    A scalar read w(theta) copies row i of the parent's read `W(theta)`, which
-    the rows share: it is made once per distinct theta and kept (at most
-    _KEPT_READS of them, so a theta that moves from row to row costs a whole
-    read per call but no T x T memory). The sample grid it stands for is
-    theta = -r (value w((t - r)^-)), every view node strictly inside the
-    window, and theta = 0 (the row's end value); `theta_grid`, `values` and
-    array reads build it from the parent's arrays on first use and keep it.
-    `_Window(view, t, end_value)` is the one row of `view.windows([t])`, with
-    w(t^-) as its end value when `end_value` is None.
-    """
-
-    def __init__(self, view: _StateView, t: float, end_value=None):
-        ends = None if end_value is None else np.reshape(end_value, (1, -1))
-        vars(self).update(_parent=view.windows(np.array([t]), ends), _i=0)
-
-    def __getattr__(self, name):
-        # the sample grid is built on first use and kept in the instance dict,
-        # where later lookups find it directly
-        if name not in ("theta_grid", "values"):
-            raise AttributeError(name)
-        parent, i = self._parent, self._i
-        view, j0, j1 = parent._view, parent._j0[i], parent._j1[i]
-        thetas = np.concatenate(([-view.delay], view.node_times[j0:j1] - parent.times[i], [0.0]))
-        values = np.concatenate((parent._low[i:i + 1], view.node_values[j0:j1],
-                                 parent._high[i:i + 1]))
-        HistorySegment.__init__(self, thetas, values)
-        return vars(self)[name]
-
-    def __call__(self, theta):
-        if type(theta) is not float:
-            if np.ndim(theta) != 0:
-                return HistorySegment.__call__(self, theta)
-            theta = float(theta)
-        if theta != theta:  # NaN reads theta = 0, as on every reader, and is no key
-            theta = 0.0
-        reads = self._parent._reads
-        rows = reads.get(theta)
-        if rows is None:
-            if len(reads) == _KEPT_READS:
-                reads.clear()
-            rows = reads[theta] = self._parent(theta)
-        return rows[self._i].copy()
-
-
 class _Windows:
     """The windows w_t at every t of `times`, read together as one (T, n) array.
 
@@ -196,9 +192,9 @@ class _Windows:
     view's node arrays, bracket corrections in theta-space, the sentinels
     w((t - r)^-) at theta = -r and ends[i] (w(t^-) when `ends` is None) at
     theta = 0: the one bracket search of a delayed-state window. `W[i]` is row
-    i as a `_Window`, for kernels that are called node by node; its scalar
-    reads are rows of `W(theta)`, so the first read at a theta reads every row
-    there and later rows at that theta are lookups.
+    i as a `HistorySegment`, for kernels that are called node by node; its
+    scalar reads are rows of `W(theta)`, so the first read at a theta reads
+    every row there and later rows at that theta are lookups.
     """
 
     def __init__(self, view: _StateView, times: np.ndarray, ends=None):
@@ -215,10 +211,10 @@ class _Windows:
         self._view, self.times, self._ends, self._j0, self._j1 = view, times, ends, j0, j1
         self._reads = {}  # theta -> W(theta), kept for the rows' scalar reads
 
-    def __getitem__(self, i: int) -> _Window:
+    def __getitem__(self, i: int) -> HistorySegment:
         # a row refers to its parent, never the reverse, so the two form no cycle;
         # an index past the end raises IndexError, which ends iteration over rows
-        row = _Window.__new__(_Window)
+        row = HistorySegment.__new__(HistorySegment)
         vars(row).update(_parent=self, _i=range(len(self.times))[i])
         return row
 
@@ -417,7 +413,7 @@ class PiecewiseTrajectory:
         t = float(t)
         if not -_EDGE_TOL <= t <= self.coverage_end + _EDGE_TOL * (1.0 + self.horizon):
             raise ValueError(f"t={t} outside [0, {self.coverage_end}]")
-        return _Window(self._view, t)
+        return self._view.windows(np.array([t]))[0]
 
     def sigma_norm(self) -> float:
         """Max over the blocks on [0, b] of the sup of node values (inf norm)."""

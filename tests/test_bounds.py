@@ -25,6 +25,7 @@ from impulsedde import (
     random_instance,
     with_history,
 )
+from impulsedde.bounds import _reduction_instance
 
 E = float(np.e)
 E2 = float(np.exp(2.0))
@@ -299,6 +300,30 @@ class TestDependenceBounds:
         lip = replace(get_entry("pure_semigroup").lipschitz, J=1.0)
         sg = operator_norm_bound(problem.generator, problem.horizon)
         assert dependence_function_bound(problem, lip, sg) == pytest.approx(sg.M, rel=1e-12)
+
+    @pytest.mark.parametrize("name", [entry.name for entry in build_catalog()])
+    def test_bounds_are_prefactors_times_the_curve_at_the_horizon(self, name):
+        # the growth factor is the closed-form curve with n = 1 at t = b, bit for bit
+        entry = get_entry(name)
+        problem, b = entry.problem, entry.problem.horizon
+        lip = replace(entry.lipschitz, P=0.1, J=0.2, N_k=(0.05,) * problem.num_impulses)
+        sg = operator_norm_bound(problem.generator, b)
+        M = sg.M
+
+        def curve(tilde=False):
+            inst = _reduction_instance(problem, lip, sg, tilde=tilde)
+            return float(pachpatte_curve(inst, np.array([b]))[0])
+
+        got = dependence_initial_bound(problem, lip, sg, 0.1)
+        assert got.hex() == (M * 0.1 * curve()).hex()
+        got = dependence_function_bound(problem, lip, sg)
+        prefactor = M * lip.J + b * M * lip.P + sum(M * v for v in lip.N_k)
+        assert got.hex() == (prefactor * curve()).hex()
+        if lip.N_V_tilde is not None:
+            got = dependence_parameter_bound(problem, lip, sg, 0.1, 0.2)
+            prefactor = b * M * lip.Omega_1 * 0.1
+            prefactor += sum(2.0 * b * M * lip.Omega_2 * d * 0.2 for d in lip.D_k)
+            assert got.hex() == (prefactor * curve(tilde=True)).hex()
 
     def test_parameter_requires_tilde(self, paper):
         problem, lip, sg = paper

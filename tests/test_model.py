@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from impulsedde import Discretization, batched, build_catalog, get_entry, solve_mild, validate
-from impulsedde.trajectory import _Window, _Windows
+from impulsedde.trajectory import HistorySegment, _Windows
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +160,7 @@ class TestValidate:
                     G=recorded("G", base.G, 1))
         assert validate(p) == []
         # node by node on rows of the probe's windows; a marked kernel also gets them whole
-        expected = {_Window, _Windows} if mark else {_Window}
+        expected = {HistorySegment, _Windows} if mark else {HistorySegment}
         assert seen == {"V": expected, "U": expected, "G": expected}
 
     def test_mismatched_jump_list(self, catalog):

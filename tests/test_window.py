@@ -8,6 +8,7 @@ pre-jump value), and theta = 0 with w(t^-) or the given end value.
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from impulsedde import HistorySegment, PiecewiseTrajectory
+from impulsedde import Discretization, HistorySegment, PiecewiseTrajectory, get_entry, solve_mild
 from impulsedde.model import node_rows
-from impulsedde.trajectory import _EDGE_TOL, _KEPT_READS, _Window, _Windows
+from impulsedde.trajectory import _EDGE_TOL, _KEPT_READS, _Windows
 
 HORIZON = 2.0
 
@@ -113,7 +114,7 @@ def test_history_segment_reads_match_sampled_segment(data):
 def test_end_value_override(data):
     traj, t = data.draw(windows())
     end = data.draw(arrays(float, (traj.dimension,), elements=st.floats(-10.0, 10.0)))
-    window = _Window(traj._view, t, end)
+    window = traj._view.windows(np.array([t]), end[None])[0]
     assert_reads_match(window, reference_segment(traj, t, end), thetas_for(data.draw, traj, t))
 
 
@@ -208,7 +209,9 @@ def ramp():
     ), np.zeros((0, 1)))
 
 
-def test_rows_read_each_theta_once(monkeypatch):
+@pytest.fixture()
+def window_reads(monkeypatch):
+    """The theta of every `_Windows.__call__` made while the test runs."""
     reads = []
     read = _Windows.__call__
 
@@ -217,6 +220,10 @@ def test_rows_read_each_theta_once(monkeypatch):
         return read(self, theta)
 
     monkeypatch.setattr(_Windows, "__call__", counted)
+    return reads
+
+
+def test_rows_read_each_theta_once(window_reads):
     windows = ramp()._view.windows(np.linspace(0.3, 1.9, 7))
 
     def kernel(t, w):
@@ -224,7 +231,7 @@ def test_rows_read_each_theta_once(monkeypatch):
         return w(-0.3) + w(np.float64(-0.3)) + w(-0.75) + w(float("nan")) + w(-0.0) + w(0.0)
 
     rows = node_rows(kernel, 1, windows.times, windows)
-    assert sorted(reads) == [-0.75, -0.3, 0.0]
+    assert sorted(window_reads) == [-0.75, -0.3, 0.0]
     a, b, c = windows(-0.3), windows(-0.75), windows(0.0)
     assert rows.tobytes() == (a + a + b + c + c + c).tobytes()
 
@@ -252,3 +259,33 @@ def test_rows_and_their_windows_form_no_cycle():
     finally:
         gc.enable()
 
+
+def test_kernels_and_history_segment_get_one_type():
+    assert type(ramp().history_segment(0.7)) is HistorySegment
+    problem = get_entry("windowed_impulse").problem
+    seen = set()
+
+    def V(t, w_t, z):  # unmarked: called node by node on rows
+        seen.add(type(w_t))
+        return problem.V(t, w_t, z)
+
+    solve_mild(replace(problem, V=V), Discretization(step=0.05))
+    assert seen == {HistorySegment}
+
+
+def test_sample_built_segment_reads_each_theta_once(window_reads):
+    segment = HistorySegment([-1.0, -0.5, 0.0], [[1.0], [3.0], [2.0]])
+    for theta in (-0.75, -0.75, np.float64(-0.75), -0.25, 0.0, -0.0, float("nan")):
+        segment(theta)
+    assert sorted(window_reads) == [-0.75, -0.25, 0.0]
+
+
+def test_segments_are_immutable():
+    rows = ramp()._view.windows(np.array([0.5, 1.0]))
+    for segment in (HistorySegment([-1.0, 0.0], [[1.0], [2.0]]), rows[1]):
+        for name in ("theta_grid", "values", "_i", "other"):
+            with pytest.raises(AttributeError):
+                setattr(segment, name, 0)
+        with pytest.raises(AttributeError):
+            del segment.values
+        assert segment(-0.5).shape == (1,)
