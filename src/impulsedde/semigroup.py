@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["SemigroupBound", "evolve", "operator_norm_bound", "propagator_stack", "apply_stack"]
 
@@ -41,22 +40,129 @@ def _check_square(A) -> np.ndarray:
     return A
 
 
+# Degree-13 Pade approximant r(X) = (V - U)^{-1}(V + U) of Higham (2005), its
+# coefficients b_k divided by b_0 so that U and V stay in range for large X.
+# Row k of _PADE_MIX maps (X^6, X^4, X^2, I) to the k-th Paterson-Stockmeyer
+# term: U = X (X^6 r_0 + r_2), V = X^6 r_1 + r_3.
+_B = np.array([64764752532480000, 32382376266240000, 7771770303897600,
+               1187353796428800, 129060195264000, 10559470521600, 670442572800,
+               33522128640, 1323241920, 40840800, 960960, 16380, 182, 1],
+              dtype=float) / 64764752532480000.0
+_PADE_MIX = np.array([[_B[13], _B[11], _B[9], 0.0], [_B[12], _B[10], _B[8], 0.0],
+                      [_B[7], _B[5], _B[3], _B[1]], [_B[6], _B[4], _B[2], _B[0]]])
+_THETA13 = 5.371920351148152
+# log2 of c_27 = (13!)^2 / (26! 27!), the leading coefficient of r's error series
+_LOG2_C27 = (2 * math.log2(math.factorial(13)) - math.log2(math.factorial(26))
+             - math.log2(math.factorial(27)))
+
+
+def _onenorm(X: np.ndarray) -> float:
+    """Induced 1-norm: the largest absolute column sum."""
+    return float(np.abs(X).sum(axis=0).max())
+
+
+def _squarings(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The squaring count s of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31,
+    2009) for each matrix tA: from eta = min(max(d_6, d_8), max(d_8, d_10)),
+    d_p = ||(tA)^p||_1^{1/p} exact, not from ||tA||_1, which over-scales
+    non-normal A; then the backward-error correction ell(2^-s tA, 13)."""
+    t = np.abs(ts)
+    t_max = t.max(initial=0.0)
+    norm = t_max * _onenorm(A)
+    if norm <= _THETA13:
+        # no scaling, and |c_27| ||tA||_1^26 < 2^-53 makes ell zero
+        return np.zeros(len(ts), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # powers of C = t_max A, the widest matrix of the stack, not of A, so that a
+        # tiny t cannot push them out of range; d_p and the norm are linear in t
+        C = t_max * A
+        C4 = np.linalg.matrix_power(C, 4)
+        C6 = C4 @ C @ C
+        d = [_onenorm(P) ** (1.0 / p) for p, P in ((6, C6), (8, C4 @ C4), (10, C4 @ C6))]
+        # d_p <= ||C||_1; a power that overflowed (inf or NaN) leaves that bound
+        d6, d8, d10 = np.where(np.isnan(d), np.inf, d)
+        t = t / t_max
+        s = np.maximum(np.ceil(np.log2(t * min(max(d6, d8), max(d8, d10), norm) / _THETA13)), 0.0)
+        # ell: log2 of |c_27| ||(2^-s t|C|)^27||_1 / ||2^-s tC||_1 against u = 2^-53;
+        # |C| / ||C||_1 has 1-norm 1, so its power cannot overflow
+        tail = _onenorm(np.linalg.matrix_power(np.abs(C) / norm, 27))
+        log2_alpha = _LOG2_C27 + 26.0 * (np.log2(t * norm) - s) + np.log2(tail)
+        s += np.maximum(np.ceil((log2_alpha + 53.0) / 26.0), 0.0)
+    return np.where(np.isfinite(s), s, 0.0).astype(int)
+
+
+def _expm(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """e^{tA} for each t of ts, shape (len(ts), n, n): scaling and squaring on a
+    degree-13 Pade approximant, vectorised over the stack, each t with its own
+    squaring count (`_squarings`).
+
+    A diagonal A (the zero generator included) gives exp of its diagonal. For an
+    upper-triangular A, the diagonal and first superdiagonal are set from their
+    closed form before and after each squaring (Al-Mohy & Higham 2009, Code
+    Fragment 2.1), which keeps entries that span many orders accurate.
+    Overflow leaves inf or NaN entries for the caller to reject.
+    """
+    n = A.shape[0]
+    idx = np.arange(n)
+    d = A[idx, idx]
+    if np.count_nonzero(A) == np.count_nonzero(d):
+        out = np.zeros((len(ts), n, n))
+        out[:, idx, idx] = np.exp(ts[:, None] * d)
+        return out
+    s = _squarings(A, ts)
+    X = np.ldexp(ts, -s)[:, None, None] * A
+    powers = np.empty((4,) + X.shape)  # X^6, X^4, X^2, I
+    np.matmul(X, X, out=powers[2])
+    np.matmul(powers[2], powers[2], out=powers[1])
+    np.matmul(powers[1], powers[2], out=powers[0])
+    powers[3] = np.eye(n)
+    r = (_PADE_MIX @ powers.reshape(4, -1)).reshape(powers.shape)
+    inner = powers[0] @ r[:2]
+    U = X @ (inner[0] + r[2])
+    V = inner[1] + r[3]
+    R = np.linalg.solve(V - U, V + U)
+    upper = not any(A[i, :i].any() for i in range(1, n))
+    while True:
+        if upper:
+            _exact_bands(R, np.ldexp(ts, -s)[:, None], d, A[idx[:-1], idx[1:]])
+        go = s > 0
+        if not go.any():
+            return R
+        R[go] = R[go] @ R[go]
+        s = s - go
+
+
+def _exact_bands(R: np.ndarray, t: np.ndarray, lam: np.ndarray, sup: np.ndarray):
+    """Set the diagonal and first superdiagonal of each R[i] to those of e^{t_i T},
+    T upper triangular with diagonal lam and first superdiagonal sup:
+    e^{t lam_k} and t sup_k e^{t (lam_k + lam_{k+1}) / 2} sinch(t (lam_k - lam_{k+1}) / 2)
+    (Higham, Functions of Matrices, 2008, eq. 10.42), free of the cancellation in
+    a difference quotient of exponentials."""
+    idx = np.arange(len(lam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * t * (lam[:-1] + lam[1:])
+        half = 0.5 * t * (lam[:-1] - lam[1:])
+        small = np.abs(half) < 0.0135
+        x = np.where(small, 1.0, half)
+        x2 = half * half
+        sinch = np.where(small, 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0)),
+                         np.sinh(x) / x)
+        R[:, idx, idx] = np.exp(t * lam)
+        R[:, idx[:-1], idx[1:]] = t * sup * np.exp(mid) * sinch
+
+
 def propagator_stack(A, dts) -> np.ndarray:
     """e^{A*dt} for every dt in dts, shape (len(dts), n, n).
 
-    Scalar generators take the exp fast path; matrices go through the
-    scaling-and-squaring Pade exponential, batched.
+    Scalar generators take the exp fast path; matrices go through one
+    scaling-and-squaring Pade exponential, vectorised over the stack with a
+    scaling chosen for each dt (numpy only).
     """
     A = _check_square(A)
     dts = np.asarray(dts, dtype=float)
-    n = A.shape[0]
-    if n == 1:
+    if A.shape[0] == 1:
         return np.exp(A[0, 0] * dts).reshape(-1, 1, 1)
-    out = scipy.linalg.expm(A[None, :, :] * dts[:, None, None])
-    zero = dts == 0.0
-    if np.any(zero):
-        out[zero] = np.eye(n)
-    return out
+    return _expm(A, dts)
 
 
 def apply_stack(stack: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -80,7 +186,7 @@ def evolve(A, t: float, x) -> np.ndarray:
         return x.copy()
     if A.shape[0] == 1:
         return np.exp(A[0, 0] * t) * x
-    return scipy.linalg.expm(A * t) @ x
+    return _expm(A, np.array([t]))[0] @ x
 
 
 def operator_norm_bound(A, horizon: float, samples: int = 1024) -> SemigroupBound:
@@ -99,7 +205,11 @@ def operator_norm_bound(A, horizon: float, samples: int = 1024) -> SemigroupBoun
     if samples < 2:
         raise ValueError("samples must be >= 2")
     ts = np.linspace(0.0, horizon, samples)
-    stack = propagator_stack(A, ts)
-    norms = np.abs(stack).sum(axis=2).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        norms = np.abs(propagator_stack(A, ts)).sum(axis=2).max(axis=1)
+    if not np.all(np.isfinite(norms)):
+        bad = int(np.count_nonzero(~np.isfinite(norms)))
+        raise ValueError(f"the exponential e^(At) is non-finite at {bad} of {samples} "
+                         f"samples on [0, {horizon}]")
     M = max(1.0, float(np.max(norms))) * SAFETY_FACTOR
     return SemigroupBound(M=M, horizon=horizon, sample_count=samples)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -318,3 +321,23 @@ class TestOtherCommands:
         path.write_text("problem: {name: nonexistent_entry}\n")
         assert run(["certify", "--config", str(path)]) == 2
         assert "problem.name" in capsys.readouterr().err
+
+
+def test_runtime_does_not_import_scipy():
+    # scipy is a test dependency only; a process that imports the CLI, solves an
+    # n = 2 problem and bounds its semigroup must never load it
+    code = (
+        "import sys, impulsedde.cli\n"
+        "from impulsedde import Discretization, PicardControl, get_entry, operator_norm_bound, solve_mild\n"
+        "p = get_entry('windowed_impulse').problem\n"
+        "assert p.dimension == 2\n"
+        "solve_mild(p, Discretization(step=5e-3), PicardControl())\n"
+        "operator_norm_bound(p.generator, p.horizon)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impulsedde import SemigroupBound, evolve, operator_norm_bound
+from impulsedde.semigroup import propagator_stack
 
 E2 = float(np.exp(2.0))
 
@@ -82,8 +86,6 @@ class TestOperatorNormBound:
         assert M2 >= M1
 
     def test_bound_dominates_samples(self, rng):
-        import scipy.linalg
-
         A = rng.normal(size=(3, 3))
         sg = operator_norm_bound(A, 1.5, samples=257)
         for t in np.linspace(0.0, 1.5, 257)[::8]:
@@ -122,3 +124,62 @@ def test_bound_rejects_bad_horizon_and_sample_count(horizon, sample_count):
     with pytest.raises(ValueError, match="horizon|sample_count"):
         SemigroupBound(M=1.0, horizon=horizon, sample_count=sample_count)
     SemigroupBound(M=1.0, horizon=1.0, sample_count=2)
+
+
+def test_non_finite_exponential_rejected():
+    # max(1.0, nan) is 1.0: NaN norms used to give M = 1.000001 for this generator
+    A = [[0.0, 1e308], [0.0, 0.0]]
+    assert operator_norm_bound(A, 1.0).M >= 1e308  # e^{At} = I + At exactly
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norm_bound(A, 2.0)
+
+
+def _row_error(got, ref):
+    """Largest entry error of each matrix, relative to its largest reference entry."""
+    return (np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))).max()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 4), upper=st.booleans(), norm=st.floats(0.0, 100.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_exponential_matches_scipy(n, upper, norm, seed):
+    # entries of mixed magnitude make A far from normal
+    r = np.random.default_rng(seed)
+    A = r.normal(size=(n, n)) * 10.0 ** r.uniform(-2.0, 2.0, size=(n, n))
+    if upper:
+        A = np.triu(A)
+    A *= norm / np.abs(A).sum(axis=0).max()
+    ref = scipy.linalg.expm(A)
+    tol = 1e-12 if norm <= 1.0 else 1e-10
+    assert _row_error(propagator_stack(A, [1.0])[0], ref) <= tol
+    x = r.normal(size=n)
+    assert np.abs(evolve(A, 1.0, x) - ref @ x).max() <= tol * np.abs(ref).max() * np.abs(x).sum()
+
+
+def test_nilpotent_of_huge_norm():
+    # scaling on ||A||_1 would square 2^664 times and underflow to e^A = 0
+    A = np.array([[0.0, 1e200], [0.0, 0.0]])
+    assert np.array_equal(propagator_stack(A, [1.0])[0], np.eye(2) + A)
+
+
+def test_triangular_entries_spanning_many_orders():
+    # the superdiagonal keeps its factor e through every squaring
+    E = propagator_stack([[1.0, 1e250], [0.0, 1.0]], [1.0])[0]
+    assert _row_error(E, np.e * np.array([[1.0, 1e250], [0.0, 1.0]])) <= 1e-15
+
+
+def test_triangular_stack_matches_closed_form():
+    # the M-undershoot generator: e^{tA} in closed form, each t scaled on its own
+    t = np.linspace(0.0, 10.0, 1024)
+    a, c = np.exp(-50.0 * t), np.exp(-60.0 * t)
+    ref = np.zeros((len(t), 2, 2))
+    ref[:, 0, 0], ref[:, 0, 1], ref[:, 1, 1] = a, 100.0 * (a - c), c
+    assert _row_error(propagator_stack([[-50.0, 1000.0], [0.0, -60.0]], t), ref) <= 1e-12
+
+
+def test_mixed_norm_stack_matches_scipy(rng):
+    # t from 0 to 5 spans squaring counts from 0 upward; each row keeps its accuracy
+    A = rng.normal(size=(3, 3))
+    t = np.linspace(0.0, 5.0, 1024)
+    ref = scipy.linalg.expm(A[None] * t[:, None, None])
+    assert _row_error(propagator_stack(A, t), ref) <= 1e-12
