@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,18 @@ _B = np.array([64764752532480000, 32382376266240000, 7771770303897600,
 _PADE_MIX = np.array([[_B[13], _B[11], _B[9], 0.0], [_B[12], _B[10], _B[8], 0.0],
                       [_B[7], _B[5], _B[3], _B[1]], [_B[6], _B[4], _B[2], _B[0]]])
 _THETA13 = 5.371920351148152
+# Lower degrees m with their thresholds theta_m (Higham 2005, Table 2.3) and
+# integer coefficients b_k, exact in binary; ||X||_1 <= theta_m keeps U and V in
+# range. There the degree-m approximant is accurate to unit roundoff, and
+# |c_{2m+1}| theta_m^{2m} <= 2^-53 makes the ell correction zero, so no X of
+# such a stack is scaled. Row 0 of each coefficient matrix maps
+# (I, X^2, ..., X^{m-1}) to V, row 1 to U / X.
+_PADE_LOW = tuple((theta, np.array(b, dtype=float).reshape(-1, 2).T) for theta, b in (
+    (1.495585217958292e-2, [120, 60, 12, 1]),
+    (2.539398330063230e-1, [30240, 15120, 3360, 420, 30, 1]),
+    (9.504178996162932e-1, [17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1]),
+    (2.097847961257068, [17643225600, 8821612800, 2075673600, 302702400, 30270240,
+                         2162160, 110880, 3960, 90, 1])))
 # log2 of c_27 = (13!)^2 / (26! 27!), the leading coefficient of r's error series
 _LOG2_C27 = (2 * math.log2(math.factorial(13)) - math.log2(math.factorial(26))
              - math.log2(math.factorial(27)))
@@ -61,17 +74,19 @@ def _onenorm(X: np.ndarray) -> float:
     return float(np.abs(X).sum(axis=0).max())
 
 
-def _squarings(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _squarings(A: np.ndarray, t: np.ndarray, t_max: float, norm: float) -> np.ndarray:
     """The squaring count s of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31,
-    2009) for each matrix tA: from eta = min(max(d_6, d_8), max(d_8, d_10)),
-    d_p = ||(tA)^p||_1^{1/p} exact, not from ||tA||_1, which over-scales
-    non-normal A; then the backward-error correction ell(2^-s tA, 13)."""
-    t = np.abs(ts)
-    t_max = t.max(initial=0.0)
-    norm = t_max * _onenorm(A)
-    if norm <= _THETA13:
-        # no scaling, and |c_27| ||tA||_1^26 < 2^-53 makes ell zero
-        return np.zeros(len(ts), dtype=int)
+    2009) for each matrix tA, t = |ts|, t_max = max t and norm = t_max ||A||_1 >
+    theta_13: from eta = min(max(d_6, d_8), max(d_8, d_10)), d_p =
+    ||(tA)^p||_1^{1/p} exact, not from ||tA||_1, which over-scales non-normal A;
+    then the backward-error correction ell(2^-s tA, 13)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # powers of C = t_max A, the widest matrix of the stack, not of A, so that a
         # tiny t cannot push them out of range; d_p and the norm are linear in t
@@ -92,71 +107,101 @@ def _squarings(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def _expm(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """e^{tA} for each t of ts, shape (len(ts), n, n): scaling and squaring on a
-    degree-13 Pade approximant, vectorised over the stack, each t with its own
-    squaring count (`_squarings`).
+    """e^{tA} for each t of ts, shape (len(ts), n, n), vectorised over the stack:
+    the lowest Pade degree 3, 5, 7 or 9 whose threshold covers max|t| ||A||_1,
+    unscaled; past theta_9 the degree-13 approximant, and past theta_13 scaling
+    and squaring with a squaring count for each t (`_squarings`).
 
     A diagonal A (the zero generator included) gives exp of its diagonal. For an
     upper-triangular A, the diagonal and first superdiagonal are set from their
     closed form before and after each squaring (Al-Mohy & Higham 2009, Code
-    Fragment 2.1), which keeps entries that span many orders accurate.
+    Fragment 2.1), which keeps entries that span many orders accurate; a
+    lower-triangular A is exponentiated through its transpose.
     Overflow leaves inf or NaN entries for the caller to reject.
     """
     n = A.shape[0]
-    idx = np.arange(n)
-    d = A[idx, idx]
-    if np.count_nonzero(A) == np.count_nonzero(d):
+    rows = A.tolist()  # n is small: plain floats are cheaper to scan than numpy calls
+    above = any(rows[i][j] for i in range(n) for j in range(i + 1, n))
+    below = any(rows[i][j] for i in range(n) for j in range(i))
+    if not above:
+        if below:
+            # lower triangular: e^{tA} = (e^{tA^T})^T, so it gets the same exact bands
+            return np.ascontiguousarray(_expm(A.T, ts).transpose(0, 2, 1))
         out = np.zeros((len(ts), n, n))
-        out[:, idx, idx] = np.exp(ts[:, None] * d)
+        idx = np.arange(n)
+        out[:, idx, idx] = np.exp(ts[:, None] * A.diagonal())
         return out
-    s = _squarings(A, ts)
-    X = np.ldexp(ts, -s)[:, None, None] * A
-    powers = np.empty((4,) + X.shape)  # X^6, X^4, X^2, I
-    np.matmul(X, X, out=powers[2])
-    np.matmul(powers[2], powers[2], out=powers[1])
-    np.matmul(powers[1], powers[2], out=powers[0])
-    powers[3] = np.eye(n)
-    r = (_PADE_MIX @ powers.reshape(4, -1)).reshape(powers.shape)
-    inner = powers[0] @ r[:2]
-    U = X @ (inner[0] + r[2])
-    V = inner[1] + r[3]
-    R = np.linalg.solve(V - U, V + U)
-    upper = not any(A[i, :i].any() for i in range(1, n))
-    while True:
-        if upper:
-            _exact_bands(R, np.ldexp(ts, -s)[:, None], d, A[idx[:-1], idx[1:]])
+    t = np.abs(ts)
+    t_max = float(t.max(initial=0.0))
+    norm = t_max * max(sum(abs(row[j]) for row in rows) for j in range(n))
+    s = None
+    low = next((b for theta, b in _PADE_LOW if norm <= theta), None)
+    if low is not None:
+        X = ts[:, None, None] * A
+        powers = np.empty((low.shape[1],) + X.shape)  # I, X^2, ..., X^{m-1}
+        powers[0] = _eye(n)
+        np.matmul(X, X, out=powers[1])
+        for k in range(2, len(powers)):
+            np.matmul(powers[k - 1], powers[1], out=powers[k])
+        V, U = (low @ powers.reshape(len(powers), -1)).reshape((2,) + X.shape)
+        U = X @ U
+    else:
+        if norm > _THETA13:
+            s = _squarings(A, t, t_max, norm)
+            ts = np.ldexp(ts, -s)
+        X = ts[:, None, None] * A
+        powers = np.empty((4,) + X.shape)  # X^6, X^4, X^2, I
+        np.matmul(X, X, out=powers[2])
+        np.matmul(powers[2], powers[2], out=powers[1])
+        np.matmul(powers[1], powers[2], out=powers[0])
+        powers[3] = _eye(n)
+        r = (_PADE_MIX @ powers.reshape(4, -1)).reshape(powers.shape)
+        inner = powers[0] @ r[:2]
+        U = X @ (inner[0] + r[2])
+        V = inner[1] + r[3]
+    # r = (V - U)^{-1}(V + U) = I + 2 (V - U)^{-1} U: near I the small part keeps
+    # its relative accuracy, and the diagonal is rounded once
+    R = np.linalg.solve(V - U, 2.0 * U)
+    R += _eye(n)
+    if not below:
+        _exact_bands(R, ts[:, None], A.diagonal(), A.diagonal(1))
+    while s is not None and s.any():
         go = s > 0
-        if not go.any():
-            return R
         R[go] = R[go] @ R[go]
         s = s - go
+        if not below:
+            ts = np.where(go, 2.0 * ts, ts)
+            _exact_bands(R, ts[:, None], A.diagonal(), A.diagonal(1))
+    return R
 
 
 def _exact_bands(R: np.ndarray, t: np.ndarray, lam: np.ndarray, sup: np.ndarray):
     """Set the diagonal and first superdiagonal of each R[i] to those of e^{t_i T},
-    T upper triangular with diagonal lam and first superdiagonal sup:
-    e^{t lam_k} and t sup_k e^{t (lam_k + lam_{k+1}) / 2} sinch(t (lam_k - lam_{k+1}) / 2)
-    (Higham, Functions of Matrices, 2008, eq. 10.42), free of the cancellation in
-    a difference quotient of exponentials."""
+    T upper triangular with diagonal lam and first superdiagonal sup: e^{t lam_k}
+    and t sup_k (e^{a} - e^{b}) / (a - b), a = t lam_k, b = t lam_{k+1}
+    (Higham, Functions of Matrices, 2008, eq. 10.42). The divided difference is
+    e^{max(a, b)} q(|a - b|) with q(g) = (1 - e^{-g}) / g in (0, 1], so it neither
+    cancels nor overflows unless e^{max(a, b)} itself does; for g < 0.027, q is
+    e^{-g/2} sinch(g/2) from a short series. A zero sup_k leaves exactly 0."""
     idx = np.arange(len(lam))
     with np.errstate(over="ignore", invalid="ignore"):
-        mid = 0.5 * t * (lam[:-1] + lam[1:])
-        half = 0.5 * t * (lam[:-1] - lam[1:])
-        small = np.abs(half) < 0.0135
-        x = np.where(small, 1.0, half)
-        x2 = half * half
-        sinch = np.where(small, 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0)),
-                         np.sinh(x) / x)
+        a, b = t * lam[:-1], t * lam[1:]
+        gap = np.abs(a - b)
+        small = gap < 0.027
+        g = np.where(small, 1.0, gap)
+        x2 = 0.25 * gap * gap
+        q = np.where(small, np.exp(-0.5 * gap) * (1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0))),
+                     -np.expm1(-g) / g)
         R[:, idx, idx] = np.exp(t * lam)
-        R[:, idx[:-1], idx[1:]] = t * sup * np.exp(mid) * sinch
+        R[:, idx[:-1], idx[1:]] = np.where(sup != 0.0, t * sup * np.exp(np.maximum(a, b)) * q, 0.0)
 
 
 def propagator_stack(A, dts) -> np.ndarray:
     """e^{A*dt} for every dt in dts, shape (len(dts), n, n).
 
-    Scalar generators take the exp fast path; matrices go through one
-    scaling-and-squaring Pade exponential, vectorised over the stack with a
-    scaling chosen for each dt (numpy only).
+    Scalar generators take the exp fast path; matrices go through one Pade
+    exponential vectorised over the stack (numpy only): a low degree when
+    every dt A is small, else degree 13 with a scaling chosen for each dt.
     """
     A = _check_square(A)
     dts = np.asarray(dts, dtype=float)

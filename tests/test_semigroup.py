@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impulsedde import SemigroupBound, evolve, operator_norm_bound
-from impulsedde.semigroup import propagator_stack
+from impulsedde.semigroup import SAFETY_FACTOR, propagator_stack
 
 E2 = float(np.exp(2.0))
 
@@ -140,14 +140,14 @@ def _row_error(got, ref):
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(2, 4), upper=st.booleans(), norm=st.floats(0.0, 100.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_exponential_matches_scipy(n, upper, norm, seed):
+@given(n=st.integers(2, 4), shape=st.sampled_from([None, np.triu, np.tril]),
+       norm=st.floats(0.0, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_exponential_matches_scipy(n, shape, norm, seed):
     # entries of mixed magnitude make A far from normal
     r = np.random.default_rng(seed)
     A = r.normal(size=(n, n)) * 10.0 ** r.uniform(-2.0, 2.0, size=(n, n))
-    if upper:
-        A = np.triu(A)
+    if shape is not None:
+        A = shape(A)
     A *= norm / np.abs(A).sum(axis=0).max()
     ref = scipy.linalg.expm(A)
     tol = 1e-12 if norm <= 1.0 else 1e-10
@@ -166,6 +166,34 @@ def test_triangular_entries_spanning_many_orders():
     # the superdiagonal keeps its factor e through every squaring
     E = propagator_stack([[1.0, 1e250], [0.0, 1.0]], [1.0])[0]
     assert _row_error(E, np.e * np.array([[1.0, 1e250], [0.0, 1.0]])) <= 1e-15
+
+
+def test_lower_triangular_entries_spanning_many_orders():
+    # the transpose of the case above: the subdiagonal keeps its factor e too
+    E = propagator_stack([[1.0, 0.0], [1e250, 1.0]], [1.0])[0]
+    assert _row_error(E, np.e * np.array([[1.0, 0.0], [1e250, 1.0]])) <= 1e-15
+
+
+def test_triangular_with_distant_diagonal_entries():
+    # (e^{-1} - e^{-1500}) / 1499: e^{-1500} underflows, so a factor
+    # e^{(a + b) / 2} sinch((a - b) / 2) of the superdiagonal would be 0 * inf
+    E = propagator_stack([[-1.0, 1.0], [0.0, -1500.0]], [1.0])[0]
+    ref = np.array([[np.exp(-1.0), np.exp(-1.0) / 1499.0], [0.0, 0.0]])
+    assert _row_error(E, ref) <= 1e-15
+    # a zero superdiagonal entry beside such a pair stays exactly zero
+    A = np.array([[-1.0, 0.0, 1.0], [0.0, -1500.0, 0.0], [0.0, 0.0, -2.0]])
+    E = propagator_stack(A, [1.0])[0]
+    assert E[0, 1] == 0.0 and E[1, 2] == 0.0
+    assert _row_error(E, scipy.linalg.expm(A)) <= 1e-15
+
+
+def test_bound_of_triangular_with_distant_diagonal_entries():
+    # row sums in closed form: e^{-400t} + (e^{-400t} - e^{-1000t}) / 600 and e^{-1000t}
+    sg = operator_norm_bound([[-400.0, 1.0], [0.0, -1000.0]], 3.0)
+    t = np.linspace(0.0, 3.0, sg.sample_count)
+    a, c = np.exp(-400.0 * t), np.exp(-1000.0 * t)
+    sup = max(1.0, np.maximum(a + (a - c) / 600.0, c).max())
+    assert sg.M == pytest.approx(sup * SAFETY_FACTOR, rel=1e-15)
 
 
 def test_triangular_stack_matches_closed_form():
