@@ -41,29 +41,24 @@ def _check_square(A) -> np.ndarray:
     return A
 
 
-# Degree-13 Pade approximant r(X) = (V - U)^{-1}(V + U) of Higham (2005), its
-# coefficients b_k divided by b_0 so that U and V stay in range for large X.
-# Row k of _PADE_MIX maps (X^6, X^4, X^2, I) to the k-th Paterson-Stockmeyer
-# term: U = X (X^6 r_0 + r_2), V = X^6 r_1 + r_3.
-_B = np.array([64764752532480000, 32382376266240000, 7771770303897600,
-               1187353796428800, 129060195264000, 10559470521600, 670442572800,
-               33522128640, 1323241920, 40840800, 960960, 16380, 182, 1],
-              dtype=float) / 64764752532480000.0
-_PADE_MIX = np.array([[_B[13], _B[11], _B[9], 0.0], [_B[12], _B[10], _B[8], 0.0],
-                      [_B[7], _B[5], _B[3], _B[1]], [_B[6], _B[4], _B[2], _B[0]]])
-_THETA13 = 5.371920351148152
-# Lower degrees m with their thresholds theta_m (Higham 2005, Table 2.3) and
-# integer coefficients b_k, exact in binary; ||X||_1 <= theta_m keeps U and V in
-# range. There the degree-m approximant is accurate to unit roundoff, and
-# |c_{2m+1}| theta_m^{2m} <= 2^-53 makes the ell correction zero, so no X of
-# such a stack is scaled. Row 0 of each coefficient matrix maps
-# (I, X^2, ..., X^{m-1}) to V, row 1 to U / X.
-_PADE_LOW = tuple((theta, np.array(b, dtype=float).reshape(-1, 2).T) for theta, b in (
+# Pade approximants r_m(X) = (V - U)^{-1}(V + U) of Higham (2005): degrees m with
+# their thresholds theta_m (Table 2.3) and coefficients b_k. For m <= 9 the b_k
+# are integers, exact in binary; those of m = 13 are divided by b_0 so that U and
+# V stay in range. Row 0 of each coefficient matrix maps (I, X^2, ..., X^{m-1})
+# to V, row 1 to U / X. For ||X||_1 <= theta_m the approximant is accurate to unit
+# roundoff; up to m = 9, |c_{2m+1}| theta_m^{2m} <= 2^-53 makes the ell correction
+# zero, so no X of a stack with max ||X||_1 <= theta_9 is scaled.
+_PADE = tuple((theta, np.array(b, dtype=float).reshape(-1, 2).T) for theta, b in (
     (1.495585217958292e-2, [120, 60, 12, 1]),
     (2.539398330063230e-1, [30240, 15120, 3360, 420, 30, 1]),
     (9.504178996162932e-1, [17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1]),
     (2.097847961257068, [17643225600, 8821612800, 2075673600, 302702400, 30270240,
-                         2162160, 110880, 3960, 90, 1])))
+                         2162160, 110880, 3960, 90, 1]),
+    (5.371920351148152, np.array([64764752532480000, 32382376266240000, 7771770303897600,
+                                  1187353796428800, 129060195264000, 10559470521600,
+                                  670442572800, 33522128640, 1323241920, 40840800, 960960,
+                                  16380, 182, 1], dtype=float) / 64764752532480000.0)))
+_THETA13 = _PADE[-1][0]
 # log2 of c_27 = (13!)^2 / (26! 27!), the leading coefficient of r's error series
 _LOG2_C27 = (2 * math.log2(math.factorial(13)) - math.log2(math.factorial(26))
              - math.log2(math.factorial(27)))
@@ -108,15 +103,15 @@ def _squarings(A: np.ndarray, t: np.ndarray, t_max: float, norm: float) -> np.nd
 
 def _expm(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """e^{tA} for each t of ts, shape (len(ts), n, n), vectorised over the stack:
-    the lowest Pade degree 3, 5, 7 or 9 whose threshold covers max|t| ||A||_1,
-    unscaled; past theta_9 the degree-13 approximant, and past theta_13 scaling
-    and squaring with a squaring count for each t (`_squarings`).
+    the lowest Pade degree 3, 5, 7, 9 or 13 whose threshold covers max|t| ||A||_1,
+    unscaled; past theta_13 scaling and squaring with a squaring count for each t
+    (`_squarings`) and degree 13. One evaluator serves every degree.
 
-    A diagonal A (the zero generator included) gives exp of its diagonal. For an
-    upper-triangular A, the diagonal and first superdiagonal are set from their
-    closed form before and after each squaring (Al-Mohy & Higham 2009, Code
-    Fragment 2.1), which keeps entries that span many orders accurate; a
-    lower-triangular A is exponentiated through its transpose.
+    A diagonal A (every 1x1 A and the zero generator included) gives exp of its
+    diagonal. For an upper-triangular A, the diagonal and first superdiagonal
+    are set from their closed form before and after each squaring (Al-Mohy &
+    Higham 2009, Code Fragment 2.1), which keeps entries that span many orders
+    accurate; a lower-triangular A is exponentiated through its transpose.
     Overflow leaves inf or NaN entries for the caller to reject.
     """
     n = A.shape[0]
@@ -135,30 +130,19 @@ def _expm(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
     t_max = float(t.max(initial=0.0))
     norm = t_max * max(sum(abs(row[j]) for row in rows) for j in range(n))
     s = None
-    low = next((b for theta, b in _PADE_LOW if norm <= theta), None)
-    if low is not None:
-        X = ts[:, None, None] * A
-        powers = np.empty((low.shape[1],) + X.shape)  # I, X^2, ..., X^{m-1}
-        powers[0] = _eye(n)
-        np.matmul(X, X, out=powers[1])
-        for k in range(2, len(powers)):
-            np.matmul(powers[k - 1], powers[1], out=powers[k])
-        V, U = (low @ powers.reshape(len(powers), -1)).reshape((2,) + X.shape)
-        U = X @ U
-    else:
-        if norm > _THETA13:
-            s = _squarings(A, t, t_max, norm)
-            ts = np.ldexp(ts, -s)
-        X = ts[:, None, None] * A
-        powers = np.empty((4,) + X.shape)  # X^6, X^4, X^2, I
-        np.matmul(X, X, out=powers[2])
-        np.matmul(powers[2], powers[2], out=powers[1])
-        np.matmul(powers[1], powers[2], out=powers[0])
-        powers[3] = _eye(n)
-        r = (_PADE_MIX @ powers.reshape(4, -1)).reshape(powers.shape)
-        inner = powers[0] @ r[:2]
-        U = X @ (inner[0] + r[2])
-        V = inner[1] + r[3]
+    if norm > _THETA13:
+        s = _squarings(A, t, t_max, norm)
+        ts = np.ldexp(ts, -s)
+    # the lowest degree whose threshold covers the stack; degree 13 past theta_13
+    coeffs = next((b for theta, b in _PADE if norm <= theta), _PADE[-1][1])
+    X = ts[:, None, None] * A
+    powers = np.empty((coeffs.shape[1],) + X.shape)  # I, X^2, ..., X^{m-1}
+    powers[0] = _eye(n)
+    np.matmul(X, X, out=powers[1])
+    for k in range(2, len(powers)):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    V, U = (coeffs @ powers.reshape(len(powers), -1)).reshape((2,) + X.shape)
+    U = X @ U
     # r = (V - U)^{-1}(V + U) = I + 2 (V - U)^{-1} U: near I the small part keeps
     # its relative accuracy, and the diagonal is rounded once
     R = np.linalg.solve(V - U, 2.0 * U)
@@ -199,15 +183,12 @@ def _exact_bands(R: np.ndarray, t: np.ndarray, lam: np.ndarray, sup: np.ndarray)
 def propagator_stack(A, dts) -> np.ndarray:
     """e^{A*dt} for every dt in dts, shape (len(dts), n, n).
 
-    Scalar generators take the exp fast path; matrices go through one Pade
-    exponential vectorised over the stack (numpy only): a low degree when
-    every dt A is small, else degree 13 with a scaling chosen for each dt.
+    One Pade exponential vectorised over the stack (numpy only): the lowest
+    degree that covers every dt A, degree 13 with a scaling chosen for each dt
+    past that. A diagonal generator, every 1x1 one included, gives exp of its
+    diagonal, bit for bit np.exp(a * dts).
     """
-    A = _check_square(A)
-    dts = np.asarray(dts, dtype=float)
-    if A.shape[0] == 1:
-        return np.exp(A[0, 0] * dts).reshape(-1, 1, 1)
-    return _expm(A, dts)
+    return _expm(_check_square(A), np.asarray(dts, dtype=float))
 
 
 def apply_stack(stack: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -229,8 +210,6 @@ def evolve(A, t: float, x) -> np.ndarray:
         raise ValueError(f"state must have length {A.shape[0]}")
     if t == 0.0:
         return x.copy()
-    if A.shape[0] == 1:
-        return np.exp(A[0, 0] * t) * x
     return _expm(A, np.array([t]))[0] @ x
 
 

@@ -365,12 +365,6 @@ class PiecewiseTrajectory:
     def complete(self) -> bool:
         return len(self.blocks) == len(self.impulse_times) + 2
 
-    def jump_at(self, k: int) -> np.ndarray:
-        """Recorded jump w(t_k^+) - w(t_k^-) for the 1-based impulse index k."""
-        if not 1 <= k <= len(self.right_limits):
-            raise IndexError(f"impulse index {k} out of range")
-        return self.right_limits[k - 1] - self.eval(float(self.impulse_times[k - 1]))
-
     # -- evaluation ------------------------------------------------------------
 
     def _check_domain(self, t: float, upper: float):

@@ -211,3 +211,39 @@ def test_mixed_norm_stack_matches_scipy(rng):
     t = np.linspace(0.0, 5.0, 1024)
     ref = scipy.linalg.expm(A[None] * t[:, None, None])
     assert _row_error(propagator_stack(A, t), ref) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [-400.0, -1.5, 0.0, 0.3, 2.0])
+def test_scalar_generator_keeps_its_bits(a):
+    # a 1x1 generator is diagonal: exp of a * dt, bit for bit, for negative steps
+    # (the Duhamel weights pass -tau) and for steps whose exponential overflows
+    dts = np.array([0.0, 1e-3, 0.5, -0.25, -3.0, 1e3, -1e3])
+    with np.errstate(over="ignore"):
+        ref = np.exp(a * dts)
+        stack = propagator_stack([[a]], dts)
+        assert stack.shape == (len(dts), 1, 1)
+        assert stack.tobytes() == ref.tobytes()
+        x = np.array([-2.3])
+        for t in (0.0, 1e-3, 0.7, 3.0, 1e3):
+            # equal, not bitwise: evolve's matrix product gives 0.0 where an underflowed
+            # e^{at} times a negative x is -0.0
+            assert np.array_equal(evolve([[a]], t, x), np.exp(a * t) * x)
+
+
+# Higham (2005), Table 2.3: theta_m for the Pade degrees m = 3, 5, 7, 9 and 13
+_THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+           2.097847961257068, 5.371920351148152)
+
+
+@pytest.mark.parametrize("A", [[[-1.0, 5.0, 0.3], [0.2, -2.0, 40.0], [0.01, 0.5, 0.7]],
+                               [[0.0, 0.4], [-0.4, 0.0]]])
+@pytest.mark.parametrize("theta", _THETAS)
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_exponential_at_degree_boundaries(A, theta, side):
+    # t ||A||_1 just below and just above each threshold, where the degree switches
+    A = np.array(A)
+    norm = theta * (1.0 + side * 2.0 ** -20)
+    t = norm / np.abs(A).sum(axis=0).max()
+    ref = scipy.linalg.expm(t * A)
+    tol = 1e-12 if norm <= 1.0 else 1e-10
+    assert _row_error(propagator_stack(A, [t])[0], ref) <= tol

@@ -69,7 +69,6 @@ class TestEval:
     def test_jump_record(self):
         traj = make_jump_trajectory()
         assert traj.eval_right(1.0)[0] - traj.eval(1.0)[0] == 1.0
-        assert traj.jump_at(1)[0] == 1.0
 
     def test_linear_interpolation(self):
         hist = (np.array([-1.0, 0.0]), np.zeros((2, 1)))
