@@ -62,13 +62,19 @@ def _sample(fn: Callable, xs: np.ndarray) -> np.ndarray:
     return np.array([float(fn(float(x))) for x in xs])
 
 
+def _exp(xs: np.ndarray) -> np.ndarray:
+    """math.exp of each element of the 1-D array xs: np.exp rounds some inputs
+    differently from libm, which would change output bits."""
+    return np.fromiter(map(math.exp, xs.tolist()), float, len(xs))
+
+
 @dataclass(frozen=True)
 class PachpatteInstance:
     """Data of the impulsive inequality; hosts its quadrature tables.
 
-    n must be positive and nondecreasing, f and g nonnegative (checked on the
-    instance grid at construction), and each window [t_k - tau_k, t_k - theta_k]
-    must sit inside the preceding inter-impulse interval.
+    n must be finite, positive and nondecreasing, f and g finite and nonnegative
+    (checked on the instance grid at construction), and each window
+    [t_k - tau_k, t_k - theta_k] must sit inside the preceding inter-impulse interval.
     """
 
     n: Callable
@@ -106,13 +112,13 @@ class PachpatteInstance:
                     f"window offsets violate 0 <= theta_k <= tau_k <= t_k - t_(k-1) at k={k + 1}"
                 )
             prev = tk[k]
-        # sampled sign and monotonicity checks; the f and g samples are the tables'
+        # sampled finiteness, sign and monotonicity checks; NaN fails every
+        # comparison, so each one states what a valid sample passes
         nv = _sample(self.n, self.grid)
-        if np.any(nv <= 0.0) or np.any(np.diff(nv) < -1e-12 * (1.0 + np.max(np.abs(nv)))):
-            raise ValueError("n(t) must be positive and nondecreasing on the grid")
-        fv, gv = self._tables[:2]
-        if np.any(fv < 0.0) or np.any(gv < 0.0):
-            raise ValueError("f and g must be nonnegative on the grid")
+        if (not np.all((nv > 0.0) & (nv < math.inf))
+                or np.any(np.diff(nv) < -1e-12 * (1.0 + np.max(np.abs(nv))))):
+            raise ValueError("n(t) must be finite, positive and nondecreasing on the grid")
+        self._tables  # checks f and g on the samples it tabulates
 
     @property
     def num_impulses(self) -> int:
@@ -136,6 +142,9 @@ class PachpatteInstance:
         xs = self.grid
         fv = _sample(self.f, xs)
         gv = _sample(self.g, xs)
+        for name, vals in (("f", fv), ("g", gv)):
+            if not np.all((vals >= 0.0) & (vals < math.inf)):
+                raise ValueError(f"{name}(t) must be finite and nonnegative on the grid")
         G = cumtrap(xs, gv)
         phi = fv * (1.0 + G)
         F = cumtrap(xs, phi)
@@ -144,12 +153,14 @@ class PachpatteInstance:
     def _F_at(self, ts: np.ndarray) -> np.ndarray:
         """int_0^t f[1 + int_0^s g] at each t: the table value on a grid node, else
         the node's value plus one trapezoid, with f and g sampled at t itself
-        (one `_sample` call each for all off-node t)."""
+        (one `_sample` call each for all off-node t, none when every t is a node)."""
         xs = self.grid
         _, gv, G, phi, F = self._tables
         i = np.maximum(xs.searchsorted(ts, side="right") - 1, 0)
         out = F[i]
         off = np.nonzero((xs[i] != ts) & (i != len(xs) - 1))[0]
+        if not off.size:
+            return out
         t, i = ts[off], i[off]
         G_t = G[i] + 0.5 * (t - xs[i]) * (gv[i] + _sample(self.g, t))
         out[off] = F[i] + 0.5 * (t - xs[i]) * (phi[i] + _sample(self.f, t) * (1.0 + G_t))
@@ -207,7 +218,7 @@ def compute_Ck(inst: PachpatteInstance, k: int) -> float:
     if hi <= lo:
         return term1
     times = window_nodes(inst.grid, lo, hi)
-    vals = np.array([math.exp(x) for x in (inst._F_at(times) - F_prev).tolist()])
+    vals = _exp(inst._F_at(times) - F_prev)
     return term1 + float(inst.beta[k - 1]) * float(np.trapezoid(vals, times))
 
 
@@ -228,9 +239,7 @@ def pachpatte_curve(inst: PachpatteInstance, ts) -> np.ndarray:
     # resolved alpha must match the product's strict index set
     alpha = inst.impulse_times.searchsorted(ts, side="left")
     F_alpha, prods = inst._alpha_tables
-    expo = (inst._F_at(ts) - F_alpha[alpha]).tolist()
-    # math.exp per element: np.exp rounds some inputs differently, changing output bits
-    return _sample(inst.n, ts) * prods[alpha] * np.array([math.exp(x) for x in expo])
+    return _sample(inst.n, ts) * prods[alpha] * _exp(inst._F_at(ts) - F_alpha[alpha])
 
 
 def pachpatte_bound(inst: PachpatteInstance, t: float) -> BoundReport:
@@ -259,6 +268,11 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
     Full sweeps u <- n + F(u) starting from u = n increase monotonically to the
     least fixed point, which dominates every u satisfying the inequality on the
     same grid. Divergence (overflow or sweep-budget exhaustion) raises.
+
+    The sweep's invariants (the half steps, each window's node range and steps,
+    the first node past each t_k) are computed once, and f u and g u are
+    integrated in one pass; per element a sweep does `cumtrap`'s and
+    `np.trapezoid`'s arithmetic, so it returns their bits.
     """
     if not 0.0 < sweep_tol < math.inf or max_sweeps < 1:
         raise ValueError("sweep_tol must be finite and > 0, and max_sweeps >= 1")
@@ -274,28 +288,40 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
             raise ValueError(f"grid must contain the breakpoint {x}")
         return i
 
-    windows = []
+    steps = np.diff(grid)
+    half = 0.5 * steps
+    windows = []  # (beta_k, first window node, one past its last, its steps, first node > t_k)
     for k in range(1, inst.num_impulses + 1):
         lo, hi = inst.window(k)
         tk = float(inst.impulse_times[k - 1])
         locate(tk)
         if hi > lo:
-            sl = slice(locate(lo), locate(hi) + 1)
-            windows.append((k, sl, grid > tk))
+            a, b = locate(lo), locate(hi) + 1
+            windows.append((float(inst.beta[k - 1]), a, b, steps[a:b - 1],
+                            int(grid.searchsorted(tk, side="right"))))
     fv = _sample(inst.f, grid)
     gv = _sample(inst.g, grid)
     nv = _sample(inst.n, grid)
+    fg = np.stack([fv, gv])
+
+    def cumulative(y: np.ndarray) -> np.ndarray:  # cumtrap(grid, y) along the last axis
+        out = np.empty_like(y)
+        out[..., 0] = 0.0
+        (half * (y[..., 1:] + y[..., :-1])).cumsum(axis=-1, out=out[..., 1:])
+        return out
 
     u = nv.copy()
     for _ in range(max_sweeps):
-        unew = nv + cumtrap(grid, fv * u) + cumtrap(grid, fv * cumtrap(grid, gv * u))
-        for k, sl, active in windows:
-            unew[active] += float(inst.beta[k - 1]) * float(np.trapezoid(u[sl], grid[sl]))
-        if not np.all(np.isfinite(unew)):
+        int_fu, int_gu = cumulative(fg * u)
+        unew = nv + int_fu + cumulative(fv * int_gu)
+        for beta, a, b, d, s in windows:  # np.trapezoid(u[a:b], grid[a:b])
+            unew[s:] += beta * float((d * (u[a + 1:b] + u[a:b - 1]) / 2.0).sum())
+        # u is n or an earlier unew, so the gap is finite exactly when unew is
+        gap = float(abs(unew - u).max())
+        if not math.isfinite(gap):
             raise DivergenceError("maximal-solution sweep overflowed")
-        gap = float(np.max(np.abs(unew - u)))
         u = unew
-        if gap <= sweep_tol * (1.0 + float(np.max(u))):
+        if gap <= sweep_tol * (1.0 + float(u.max())):
             return u
     raise DivergenceError(f"no convergence within {max_sweeps} sweeps")
 

@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import yaml
 
 from .bounds import (
     apriori_bound,
@@ -106,6 +105,8 @@ def _check_schema(data: dict, schema: dict, prefix: str = ""):
 
 
 def load_config(path: str) -> RunConfig:
+    import yaml  # here, not at module level: only a config read needs it (~25 ms to import)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

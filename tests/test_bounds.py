@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from impulsedde import (
     with_history,
 )
 from impulsedde.bounds import _reduction_instance
+from impulsedde.quadrature import cumtrap, window_nodes
 
 E = float(np.e)
 E2 = float(np.exp(2.0))
@@ -188,6 +191,14 @@ class TestMaximalSolution:
         with pytest.raises(DivergenceError):
             maximal_solution(inst, grid, max_sweeps=2)
 
+    def test_overflow_detected(self):
+        # f = 1e200 takes u past the largest float in the second sweep
+        inst = plain_instance(f=lambda t: 1e200)
+        grid = build_oracle_grid(inst, 1e-2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="maximal-solution sweep overflowed"):
+            maximal_solution(inst, grid)
+
     @pytest.mark.parametrize("settings", [dict(sweep_tol=float("nan")), dict(sweep_tol=-1e-12),
                                           dict(sweep_tol=0.0), dict(sweep_tol=float("inf")),
                                           dict(max_sweeps=0), dict(max_sweeps=-1)])
@@ -207,6 +218,102 @@ class TestMaximalSolution:
     def test_discretization_rejects_bad_step(self, step):
         with pytest.raises(ValueError, match="step must be finite and > 0"):
             Discretization(step=step)
+
+
+def reference_sweep(inst, grid, sweep_tol=1e-12):
+    """The maximal-solution sweep as first written: three `cumtrap` calls, one
+    `np.trapezoid` per window and a boolean mask past t_k, with every invariant
+    recomputed in every sweep."""
+    windows = []
+    for k in range(1, inst.num_impulses + 1):
+        lo, hi = inst.window(k)
+        tk = float(inst.impulse_times[k - 1])
+        if hi > lo:
+            a = int(np.searchsorted(grid, lo, side="left"))
+            b = int(np.searchsorted(grid, hi, side="left"))
+            windows.append((k, slice(a, b + 1), grid > tk))
+    fv, gv, nv = (np.array([float(fn(float(x))) for x in grid]) for fn in (inst.f, inst.g, inst.n))
+    u = nv.copy()
+    while True:
+        unew = nv + cumtrap(grid, fv * u) + cumtrap(grid, fv * cumtrap(grid, gv * u))
+        for k, sl, active in windows:
+            unew[active] += float(inst.beta[k - 1]) * float(np.trapezoid(u[sl], grid[sl]))
+        gap = float(np.max(np.abs(unew - u)))
+        u = unew
+        if gap <= sweep_tol * (1.0 + float(np.max(u))):
+            return u
+
+
+def reference_Ck(inst, k):
+    """`compute_Ck` with its exponentials taken one list element at a time."""
+    t_prev = 0.0 if k == 1 else float(inst.impulse_times[k - 2])
+    F_prev, F_k = inst._F_at(np.array([t_prev, float(inst.impulse_times[k - 1])]))
+    term1 = math.exp(F_k - F_prev)
+    lo, hi = inst.window(k)
+    if hi <= lo:
+        return term1
+    times = window_nodes(inst.grid, lo, hi)
+    vals = np.array([math.exp(x) for x in (inst._F_at(times) - F_prev).tolist()])
+    return term1 + float(inst.beta[k - 1]) * float(np.trapezoid(vals, times))
+
+
+def reference_curve(inst, ts):
+    """`pachpatte_curve` with its exponentials taken one list element at a time."""
+    alpha = inst.impulse_times.searchsorted(ts, side="left")
+    F_alpha, prods = inst._alpha_tables
+    expo = (inst._F_at(ts) - F_alpha[alpha]).tolist()
+    return np.array([float(inst.n(float(t))) for t in ts]) * prods[alpha] * np.array(
+        [math.exp(x) for x in expo])
+
+
+def smooth_instance(**kw):
+    base = dict(
+        n=lambda t: 1.0 + 0.5 * t,
+        f=lambda t: 0.4 + 0.3 * math.sin(2.1 * t + 0.3) ** 2,
+        g=lambda t: 0.2 + 0.5 * math.sin(1.3 * t + 1.1) ** 2,
+        horizon=1.5, grid_points=257,
+    )
+    base.update(kw)
+    return PachpatteInstance(**base)
+
+
+class TestKeepsTheBits:
+    """The sweep, the curve and C_k match the straightforward forms byte for byte."""
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+    def test_sweep_on_random_instances(self):
+        rng = np.random.Generator(np.random.Philox(7))
+        for _ in range(40):
+            inst = random_instance(rng, grid_points=513)
+            grid = build_oracle_grid(inst, 2e-3)
+            self.assert_same_bits(maximal_solution(inst, grid), reference_sweep(inst, grid))
+
+    @pytest.mark.parametrize("impulses", [
+        # a zero-width window (theta = tau) beside an ordinary one
+        dict(impulse_times=[0.5, 1.1], beta=[1.3, 0.7], theta=[0.2, 0.1], tau=[0.2, 0.4]),
+        # the first window starts at 0
+        dict(impulse_times=[0.6], beta=[1.5], theta=[0.25], tau=[0.6]),
+        # the last impulse sits on the horizon, so no node lies past it
+        dict(impulse_times=[0.7, 1.5], beta=[0.9, 1.8], theta=[0.1, 0.3], tau=[0.5, 0.8]),
+    ], ids=["zero-width", "from-zero", "at-horizon"])
+    def test_sweep_edge_windows(self, impulses):
+        inst = smooth_instance(**impulses)
+        grid = build_oracle_grid(inst, 5e-3)
+        self.assert_same_bits(maximal_solution(inst, grid), reference_sweep(inst, grid))
+
+    def test_curve_and_Ck(self):
+        rng = np.random.Generator(np.random.Philox(11))
+        for _ in range(12):
+            inst = random_instance(rng, grid_points=513)
+            for k in range(1, inst.num_impulses + 1):
+                self.assert_same_bits(compute_Ck(inst, k), reference_Ck(inst, k))
+            # grid nodes and off-node times, in no order
+            ts = np.concatenate([build_oracle_grid(inst, 1e-2),
+                                 rng.uniform(0.0, inst.horizon, size=50)])
+            self.assert_same_bits(pachpatte_curve(inst, ts), reference_curve(inst, ts))
 
 
 class TestExistenceCertificate:
@@ -395,6 +502,15 @@ class TestInstanceValidation:
     def test_decreasing_n_rejected(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             plain_instance(n=lambda t: 2.0 - t)
+
+    @pytest.mark.parametrize("name", ["n", "f", "g"])
+    @pytest.mark.parametrize("fn", [
+        lambda t: float("nan"), lambda t: float("inf"),
+        lambda t: float("nan") if t == 2.0 else 1.0,  # one bad node: the last
+    ], ids=["nan", "inf", "one-nan"])
+    def test_non_finite_samples_rejected(self, name, fn):
+        with pytest.raises(ValueError, match=rf"^{name}\(t\) must be finite"):
+            plain_instance(**{name: fn})
 
     def test_window_constraint(self):
         with pytest.raises(ValueError, match="window"):

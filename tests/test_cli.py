@@ -341,3 +341,19 @@ def test_runtime_does_not_import_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_campaign_does_not_import_yaml():
+    # yaml is read only by `load_config`; a campaign without --config must not load it
+    code = (
+        "import contextlib, io, sys, impulsedde.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert impulsedde.cli.run(['inequality', '--samples', '2']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('yaml', '_yaml'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
