@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .model import ImpulsiveProblem, LipschitzData, as_state, batched, node_rows
-from .quadrature import KernelU, cumtrap, segment_grid, volterra_tri, window_nodes
+from .quadrature import cumtrap, segment_grid, volterra_tri, window_nodes
 from .semigroup import SemigroupBound
 from .solver import Discretization, PicardControl, solve_mild
 from .trajectory import _StateView, sigma_diff
@@ -341,8 +341,9 @@ def existence_certificate(problem: ImpulsiveProblem, lip: LipschitzData,
 
 
 def _reduction_instance(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBound,
-                        tilde: bool = False, grid_points: int = 2048) -> PachpatteInstance:
-    """Inequality instance with f = M N_V, g = N_U, beta_k = M L_G D_k."""
+                        tilde: bool = False) -> PachpatteInstance:
+    """Inequality instance with f = M N_V, g = N_U, beta_k = M L_G D_k on the
+    default 2,048-point grid."""
     if len(lip.D_k) != problem.num_impulses:
         raise ValueError("lip.D_k must have one entry per impulse")
     if tilde:
@@ -364,7 +365,6 @@ def _reduction_instance(problem: ImpulsiveProblem, lip: LipschitzData, sg: Semig
         theta=problem.theta_offsets,
         tau=problem.tau_offsets,
         horizon=problem.horizon,
-        grid_points=grid_points,
     )
 
 
@@ -391,7 +391,7 @@ def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBo
 
     zero = _StateView(problem.delay, np.array([-problem.delay, problem.horizon]), np.zeros((2, n)))
     windows = zero.windows(xs)
-    z0 = volterra_tri(KernelU(problem), xs, windows, n)
+    z0 = volterra_tri(problem, xs, windows)
     v0 = np.max(np.abs(node_rows(problem.V, n, xs, windows, z0)), axis=1)
     H = M * float(np.trapezoid(v0, xs))
 
@@ -485,15 +485,14 @@ def check_dependence(kind: str, problem_a: ImpulsiveProblem, problem_b: Impulsiv
 # ---------------------------------------------------------------------------
 # randomized instances for inequality campaigns
 
-def random_instance(rng: np.random.Generator, max_impulses: int = 3,
-                    grid_points: int = 2048) -> PachpatteInstance:
+def random_instance(rng: np.random.Generator, grid_points: int = 2048) -> PachpatteInstance:
     """Seeded random inequality instance with smooth bounded data.
 
     Amplitudes are capped so the growth factor stays desk-scale and float
     rounding cannot swamp the domination slack.
     """
     horizon = float(rng.uniform(0.8, 1.6))
-    m = int(rng.integers(0, max_impulses + 1))
+    m = int(rng.integers(0, 4))  # 0 to 3 impulses
     for _ in range(64):
         tk = np.sort(rng.uniform(0.15 * horizon, 0.9 * horizon, size=m))
         if m < 2 or np.min(np.diff(tk)) > 0.05 * horizon:

@@ -7,7 +7,7 @@ Configuration is a YAML file whose sections mirror RunConfig:
     problem:
       name: paper_example
       parameters: {L_G: 0.01}
-    discretization: {step: 1.0e-3, quadrature: trapezoid}
+    discretization: {step: 1.0e-3}
     picard: {tolerance: 1.0e-10, max_iterations: 200, initial_iterate: constant}
 
 Unknown keys anywhere in the file, and values not of the key's type, are hard
@@ -73,7 +73,7 @@ _SCHEMA = {
     "seed": int,
     "output_path": str,
     "problem": {"name": str, "parameters": dict},
-    "discretization": {"step": float, "quadrature": str},
+    "discretization": {"step": float},
     "picard": {"tolerance": float, "max_iterations": int, "initial_iterate": str},
 }
 
@@ -127,8 +127,7 @@ def load_config(path: str) -> RunConfig:
     picard = data.get("picard", {})
     # the dataclasses check the ranges; their messages start with the field name
     try:
-        discretization = Discretization(step=float(disc.get("step", 1e-3)),
-                                        quadrature=disc.get("quadrature", "trapezoid"))
+        discretization = Discretization(step=float(disc.get("step", 1e-3)))
     except ValueError as exc:
         raise ConfigError(f"discretization.{exc}") from exc
     try:

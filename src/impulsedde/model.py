@@ -20,10 +20,11 @@ a marked kernel's rows equal its scalar calls bit for bit. The catalog's
 kernels and constant Lipschitz moduli are all marked and shape-generic
 (`w(theta)[..., 0]`, not `w(theta)[0]`).
 
-Whether U broadcasts over its outer time t is found by one probe (`probe_t`,
-run by `quadrature.KernelU` and `validate`): a vector-t call checked against
-scalar calls at both ends. A U that returns one row for a vector of times
-declares that it ignores t.
+How U takes a vector of outer times t is decided once per instance (`_u_form`,
+cached): one vector-t call on `validate`'s probe window, checked against scalar
+calls at both ends (`probe_t`). `validate` reports a U that broadcasts but
+disagrees with its scalar calls, and the Volterra sums of `quadrature` read the
+same form. A U that returns one row for two times declares that it ignores t.
 
 All callables must be pure; instances are immutable and safe to share between
 threads.
@@ -110,20 +111,23 @@ def t_rows(raw, T: int, n: int) -> np.ndarray:
     raise ValueError(f"cannot read U's output of shape {a.shape} as ({T}, {n}) rows")
 
 
-def probe_t(U, ts: np.ndarray, s: float, seg, n: int):
-    """One call U(ts, s, seg) over a vector of outer times against scalar calls at
-    both ends: None when it raises or gives another shape, else (rows, whether
-    it gave one row for T >= 2 times, whether the end rows agree within 1e-10)."""
+def probe_t(U, ts: np.ndarray, s: float, seg, n: int) -> str:
+    """U's form, from one call U(ts, s, seg) over a vector of outer times against
+    scalar calls at both ends: "scalar" when that call raises or gives another
+    shape, "disagrees" when an end row differs from its scalar call by more than
+    1e-10 (relative), else "t_free" when it gives one row for T >= 2 times and
+    "broadcast" when it gives T rows."""
     try:
         raw = U(ts, s, seg)
         rows = t_rows(raw, len(ts), n)
     except Exception:  # noqa: BLE001 - scalar-only kernels are allowed
-        return None
+        return "scalar"
     first = as_state(U(float(ts[0]), s, seg), n)
     last = as_state(U(float(ts[-1]), s, seg), n)
     tol = 1e-10 * (1.0 + max(np.max(np.abs(first)), np.max(np.abs(last))))
-    agrees = not (np.max(np.abs(rows[0] - first)) > tol or np.max(np.abs(rows[-1] - last)) > tol)
-    return rows, len(ts) > 1 and np.size(raw) == n, agrees
+    if np.max(np.abs(rows[0] - first)) > tol or np.max(np.abs(rows[-1] - last)) > tol:
+        return "disagrees"
+    return "t_free" if len(ts) > 1 and np.size(raw) == n else "broadcast"
 
 
 @dataclass(frozen=True)
@@ -170,6 +174,27 @@ class ImpulsiveProblem:
         """The history at 1,025 even points of [-r, 0], sampled once: `validate`
         checks them and `bounds` measures the initial gap on them."""
         return self.history_values(np.linspace(-self.delay, 0.0, 1025))
+
+    @cached_property
+    def _probe_windows(self) -> tuple:
+        """`validate`'s probe state, built once: the history by scalar calls at 9
+        points of [-r, 0], continued as w(t) = history(-t) to the nodes t = 0,
+        r/4, r/2 and read as windows there. Returns (thetas, history rows, node
+        times, node values, windows)."""
+        n, r = self.dimension, self.delay
+        thetas = np.linspace(-r, 0.0, 9)
+        hist = node_rows(lambda t: self.history(t), n, thetas)  # the wrapper carries no mark
+        ts = np.array([0.0, 0.25 * r, 0.5 * r])
+        ends = hist[[8, 6, 4]]
+        view = _StateView(r, np.concatenate([thetas, ts]), np.concatenate([hist, ends]))
+        return thetas, hist, ts, ends, view.windows(ts, ends)
+
+    @cached_property
+    def _u_form(self) -> str:
+        """How U takes a vector of outer times (`probe_t`), probed once at t = 0 and
+        b/2 on the first probe window; `validate` and the Volterra sums read it."""
+        seg = self._probe_windows[-1][0]
+        return probe_t(self.U, np.array([0.0, 0.5 * self.horizon]), 0.0, seg, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -318,16 +343,11 @@ def _kernel_probe(problem: ImpulsiveProblem) -> list:
     """Call V, U, G and the history node by node on one 3-node probe window, then
     each kernel marked `batched` once over all nodes: its rows must equal its
     scalar calls bit for bit."""
-    n, r = problem.dimension, problem.delay
-    thetas = np.linspace(-r, 0.0, 9)
-    try:  # scalar calls: the wrapper carries no mark
-        hist = node_rows(lambda t: problem.history(t), n, thetas)
+    n = problem.dimension
+    try:
+        thetas, hist, ts, ends, windows = problem._probe_windows
     except Exception as exc:  # noqa: BLE001 - a marked history may fail on scalars
         return [f"batched history probe failed: {exc}"]
-    ts = np.array([0.0, 0.25 * r, 0.5 * r])
-    ends = hist[[8, 6, 4]]  # the probe state goes on as w(t) = history(-t)
-    view = _StateView(r, np.concatenate([thetas, ts]), np.concatenate([hist, ends]))
-    windows = view.windows(ts, ends)
     probes = {
         "history": lambda f: node_rows(f, n, thetas),
         "V": lambda f: node_rows(f, n, ts, windows, ends),
@@ -339,11 +359,9 @@ def _kernel_probe(problem: ImpulsiveProblem) -> list:
         fn = getattr(problem, name)
         try:
             scalar = hist if name == "history" else rows(lambda *a: fn(*a))
-            if name == "U":
-                probe = probe_t(fn, np.array([0.0, 0.5 * problem.horizon]), 0.0, windows[0], n)
-                if probe is not None and not probe[2]:  # scalar-only kernels are allowed
-                    out.append("U broadcasts over its time argument but disagrees with "
-                               "scalar calls")
+            if name == "U" and problem._u_form == "disagrees":  # scalar-only kernels are allowed
+                out.append("U broadcasts over its time argument but disagrees with "
+                           "scalar calls")
         except Exception as exc:  # noqa: BLE001 - report, do not crash validation
             out.append(f"{name} probe failed: {exc}")
             continue

@@ -1,11 +1,13 @@
 """Composite trapezoid rule shared by the solver and the bounds: cumulative
 trapezoid, breakpoint grids, jump-window node sets and the Volterra sums of U.
 
-The Volterra sums run column by column over U(t, sigma_i, w_sigma_i) for a U
-that depends on its outer time t. For a U that ignores t they take O(N) form
-over the rows u_i = U(s_i, s_i, w_{s_i}) (one array call for a `batched` U),
-adding the same terms in the same order, so the bits are the same, except a
-NaN's sign.
+The Volterra sums read U's form, probed once per problem (`model.probe_t`,
+cached as the problem's `_u_form`). For a U that depends on its outer time t
+they run column by column over U(t, sigma_i, w_sigma_i): one call over the
+column's times for a U that broadcasts over t, else one call per t. For a U
+that ignores t they take O(N) form over the rows u_i = U(s_i, s_i, w_{s_i})
+(one array call for a `batched` U), adding the same terms in the same order, so
+the bits are the same, except a NaN's sign.
 """
 
 from __future__ import annotations
@@ -14,55 +16,9 @@ import math
 
 import numpy as np
 
-from .model import ImpulsiveProblem, as_state, node_rows, probe_t, t_rows
+from .model import as_state, node_rows, t_rows
 
-__all__ = ["KernelU", "cumtrap", "segment_grid", "window_nodes", "volterra_rect", "volterra_tri"]
-
-
-class KernelU:
-    """Evaluates U over a vector of outer times.
-
-    The first call probes whether U broadcasts over its time argument
-    (`model.probe_t`: one vector-t call, checked against scalar calls at both
-    ends); if not, every later call is a scalar loop. A broadcasting U that
-    returns one row for two or more times ignores t, and `t_free` records that.
-    A broadcast call's result is used as returned when it is already a float
-    (T, n) array, or (T,) when n = 1.
-    """
-
-    def __init__(self, problem: ImpulsiveProblem):
-        self._U = problem.U
-        self._n = problem.dimension
-        self._mode = None
-        self.t_free = False
-
-    def __call__(self, ts, s, seg) -> np.ndarray:
-        if self._mode == "batch":
-            col = self._U(ts, s, seg)
-            if type(col) is np.ndarray and col.dtype == float:
-                if col.shape == (len(ts), self._n):
-                    return col
-                if col.shape == (len(ts),) and self._n == 1:
-                    return col[:, None]
-            return t_rows(col, len(ts), self._n)
-        ts = np.asarray(ts, dtype=float)
-        s = float(s)
-        if self._mode is None:
-            probe = probe_t(self._U, ts, s, seg, self._n)
-            if probe is not None and probe[2]:
-                self._mode, self.t_free = "batch", probe[1]
-                return probe[0]
-            self._mode = "scalar"
-        return np.stack([as_state(self._U(float(t), s, seg), self._n) for t in ts])
-
-    def probe(self, ts, s, seg):
-        """Probe U at (ts, s, seg) unless it is probed already; then `t_free` is
-        known. Returns U's column there when it probed, else None."""
-        return self(ts, s, seg) if self._mode is None else None
-
-    def rows(self, ss, segs) -> np.ndarray:
-        """u_i = U(s_i, s_i, w_{s_i}) for every node, for a U that ignores t."""
-        return node_rows(self._U, self._n, ss, segs, lead=2)
+__all__ = ["cumtrap", "segment_grid", "window_nodes", "volterra_rect", "volterra_tri"]
 
 
 def cumtrap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -108,8 +64,25 @@ def _sequential_sum(weights, rows, skip):
     return np.cumsum(terms, axis=0)
 
 
-def volterra_rect(kernel, t_nodes, sigma_times, sigma_segs, n):
+def _u_column(problem, ts, s, seg) -> np.ndarray:
+    """U(t, s, seg) at every t of ts as (T, n) rows: one call over ts for a U that
+    broadcasts over t, used as returned when it is already a float (T, n) array,
+    or (T,) when n = 1; else one call per t."""
+    U, n = problem.U, problem.dimension
+    if problem._u_form == "broadcast":
+        col = U(ts, s, seg)
+        if type(col) is np.ndarray and col.dtype == float:
+            if col.shape == (len(ts), n):
+                return col
+            if col.shape == (len(ts),) and n == 1:
+                return col[:, None]
+        return t_rows(col, len(ts), n)
+    return np.stack([as_state(U(t, s, seg), n) for t in ts.tolist()])
+
+
+def volterra_rect(problem, t_nodes, sigma_times, sigma_segs):
     """int over the whole sigma range of U(t, sigma, w_sigma), for every t."""
+    n = problem.dimension
     out = np.zeros((len(t_nodes), n))
     if len(sigma_times) < 2:
         return out
@@ -117,32 +90,28 @@ def volterra_rect(kernel, t_nodes, sigma_times, sigma_segs, n):
     w = np.zeros(len(sigma_times))
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
-    probed = kernel.probe(t_nodes, sigma_times[0], sigma_segs[0])
-    if kernel.t_free:
-        total = _sequential_sum(w, kernel.rows(sigma_times, sigma_segs), w == 0.0)[-1]
-        out[:] = total
+    if problem._u_form == "t_free":
+        u = node_rows(problem.U, n, sigma_times, sigma_segs, lead=2)
+        out[:] = _sequential_sum(w, u, w == 0.0)[-1]
         return out
     for i, (wi, si) in enumerate(zip(w, sigma_times.tolist())):
-        if wi == 0.0:
-            continue
-        # column 0 is the probe's column when U was probed here
-        col = probed if i == 0 and probed is not None else kernel(t_nodes, si, sigma_segs[i])
-        out += wi * col
+        if wi != 0.0:
+            out += wi * _u_column(problem, t_nodes, si, sigma_segs[i])
     return out
 
 
-def volterra_tri(kernel, nodes, segs, n):
+def volterra_tri(problem, nodes, segs):
     """z[j] = int_{nodes[0]}^{nodes[j]} U(nodes[j], sigma, w_sigma) dsigma."""
+    n = problem.dimension
     T = len(nodes)
     z = np.zeros((T, n))
     if T < 2:
         return z
     d = np.diff(nodes)
-    probed = kernel.probe(nodes, nodes[0], segs[0])
-    if kernel.t_free:
+    if problem._u_form == "t_free":
         # column i adds R_i = (d_i / 2) u_i to z[i+1:] and L_i = (d_{i-1} / 2) u_i
         # to z[i:], so z[j] sums 0, R_0, L_1, R_1, ..., R_{j-1}, L_j in this order
-        u = kernel.rows(nodes, segs)
+        u = node_rows(problem.U, n, nodes, segs, lead=2)
         half = np.repeat(0.5 * d, 2)
         terms = np.empty((2 * T - 2, n))
         terms[0::2] = u[:-1]
@@ -153,8 +122,7 @@ def volterra_tri(kernel, nodes, segs, n):
     for i, (left, right, s) in enumerate(zip([0.0] + half, half + [0.0], nodes.tolist())):
         if left == 0.0 and right == 0.0:
             continue
-        # column 0 is the probe's column when U was probed here
-        col = probed if i == 0 and probed is not None else kernel(nodes[i:], s, segs[i])
+        col = _u_column(problem, nodes[i:], s, segs[i])
         zi = z[i:]
         if left != 0.0:
             zi += left * col

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ImpulsiveProblem, as_state, node_rows, validate
-from .quadrature import KernelU, segment_grid, volterra_rect, volterra_tri, window_nodes
+from .quadrature import segment_grid, volterra_rect, volterra_tri, window_nodes
 from .semigroup import apply_stack, propagator_stack
 from .trajectory import PiecewiseTrajectory, _StateView, _interp_sorted
 
@@ -46,13 +46,10 @@ __all__ = [
 @dataclass(frozen=True)
 class Discretization:
     step: float = 1e-3
-    quadrature: str = "trapezoid"
 
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
-        if self.quadrature != "trapezoid":
-            raise ValueError(f"quadrature must be 'trapezoid', got {self.quadrature!r}")
 
 
 @dataclass(frozen=True)
@@ -128,15 +125,11 @@ def volterra_term(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, t: float
     t = float(t)
     if not 0.0 <= t <= traj.coverage_end + 1e-12:
         raise ValueError(f"t={t} outside the trajectory's coverage [0, {traj.coverage_end}]")
-    n = problem.dimension
-    if t == 0.0:
-        return np.zeros(n)
     view = traj._view
     i1 = np.searchsorted(traj.main_times, t, side="left")
     times = np.concatenate([traj.main_times[:i1], [t]])
     values = np.concatenate([traj.main_values[:i1], traj.eval_many([t])])
-    kernel = KernelU(problem)
-    return volterra_rect(kernel, np.array([t]), times, view.windows(times, values), n)[0]
+    return volterra_rect(problem, np.array([t]), times, view.windows(times, values))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +162,7 @@ class _Duhamel:
         return x
 
 
-def _mild_map(problem, kernel, view, times, values, duhamel, x0, z_rect=None):
+def _mild_map(problem, view, times, values, duhamel, x0, z_rect=None):
     """The mild map at the nodes `times` of the iterate `values`, read through
     `view`: `duhamel` on the plan of `times`, from x0 (the start value in row 0
     and any kicks). z_rect, the iterate-free part of the inner integral, is added
@@ -178,7 +171,7 @@ def _mild_map(problem, kernel, view, times, values, duhamel, x0, z_rect=None):
     # the stored node value is the correct one-sided sample at theta = 0
     # (post-jump at a segment start, interior values elsewhere)
     segs = view.windows(times, values)
-    z = volterra_tri(kernel, times, segs, n)
+    z = volterra_tri(problem, times, segs)
     if z_rect is not None:
         z = z_rect + z
     return duhamel(x0, node_rows(problem.V, n, times, segs, z))
@@ -220,12 +213,11 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
 
     ht, hv = prefix.blocks[0]
     pre_t, pre_v = prefix.main_times, prefix.main_values
-    kernel = KernelU(problem)
     view_times = np.concatenate([ht, pre_t, times])
 
     # the prefix part of the inner integral is iterate-independent
     if len(pre_t):
-        z_rect = volterra_rect(kernel, times, pre_t, prefix._view.windows(pre_t, pre_v), n)
+        z_rect = volterra_rect(problem, times, pre_t, prefix._view.windows(pre_t, pre_v))
     else:
         z_rect = np.zeros((T, n))
 
@@ -241,7 +233,7 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     iterations = 0
     for iterations in range(1, control.max_iterations + 1):
         view = _StateView(problem.delay, view_times, np.concatenate([hv, pre_v, values], axis=0))
-        new = _mild_map(problem, kernel, view, times, values, duhamel, x0, z_rect)
+        new = _mild_map(problem, view, times, values, duhamel, x0, z_rect)
         gap = float(np.max(np.abs(new - values)))
         if not math.isfinite(gap):
             # a NaN gap would fail every comparison below and run on silently
@@ -297,7 +289,7 @@ def solve_mild(problem: ImpulsiveProblem,
             right_limits = np.vstack([right_limits, w_right[None, :]])
 
     traj = PiecewiseTrajectory(n, r, b, problem.impulse_times, tuple(blocks), right_limits)
-    residual = mild_residual(problem, traj, disc)
+    residual = mild_residual(problem, traj)
     if not math.isfinite(residual):
         raise ConvergenceError(m, iterations[-1], residual, f"mild residual {residual} is not finite")
     report = SolveReport(tuple(iterations), residual, tuple(jumps))
@@ -322,13 +314,11 @@ def _refine_block(bt: np.ndarray, bv: np.ndarray):
     return rt, rv, native
 
 
-def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory,
-                  disc: Discretization = Discretization()) -> float:
+def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory) -> float:
     """Sup defect of w(t) against the mild formula at the native nodes.
 
     All integrals are recomputed on the trajectory's own nodes plus their
-    midpoints; right limits at impulse times are checked via eval_right. `disc`
-    is ignored: the refined grid comes from the trajectory alone.
+    midpoints; right limits at impulse times are checked via eval_right.
     """
     n = problem.dimension
     if not traj.complete:
@@ -354,8 +344,7 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory,
         tk = float(problem.impulse_times[k - 1])
         wI = as_state(problem.jump_maps[k - 1](_integrate_G(problem, view, k)), n)
         x0[np.searchsorted(sigma, tk, side="right") - 1] += wI
-    rhs = _mild_map(problem, KernelU(problem), view, sigma, w_ref,
-                    _Duhamel(problem.generator, sigma), x0)
+    rhs = _mild_map(problem, view, sigma, w_ref, _Duhamel(problem.generator, sigma), x0)
 
     defect = np.max(np.abs(w_ref - rhs), axis=1)
     return float(np.max(defect[native]))

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impulsedde import (Discretization, PiecewiseTrajectory, apriori_bound, batched,
-                        build_catalog, get_entry, operator_norm_bound, solve_mild, validate,
-                        volterra_term, window_integral)
-from impulsedde.quadrature import KernelU, volterra_rect, volterra_tri
+                        build_catalog, get_entry, mild_residual, operator_norm_bound, solve_mild,
+                        validate, volterra_term, window_integral)
+from impulsedde.model import probe_t
+from impulsedde.quadrature import volterra_rect, volterra_tri
 from impulsedde.trajectory import _EDGE_TOL
 from test_window import HORIZON, thetas_for, trajectories
 
@@ -187,6 +188,39 @@ def test_marked_V_is_called_once_per_sweep():
     assert len(calls) - len(array_calls) <= 4 < len(traj.main_times)
 
 
+def test_U_form_is_probed_once_per_problem():
+    entry = get_entry("windowed_impulse")
+    problem = entry.problem
+    probes = []
+
+    @batched
+    def U(t, s, w_s):
+        if np.ndim(t) == 1 and np.ndim(s) == 0:  # a vector of outer times at one s
+            probes.append(len(t))
+        return problem.U(t, s, w_s)
+
+    counted = replace(problem, U=U)
+    traj, report = solve_mild(counted, Discretization(step=5e-3))
+    # validation's probe decides the form for both segments and the residual
+    assert probes == [2]
+    sg = operator_norm_bound(problem.generator, problem.horizon)
+    assert mild_residual(counted, traj).hex() == report.final_residual.hex()
+    volterra_term(counted, traj, 0.7)
+    apriori_bound(counted, entry.lipschitz, sg)
+    assert probes == [2]
+
+
+def test_sums_on_a_history_that_fails_on_scalars_raise():
+    # validation rejects the history; the bound, which skips validation, meets
+    # the same failure when it first reads U's form
+    entry = get_entry("paper_example")
+    bad = replace(entry.problem, history=batched(lambda t: np.asarray(t)[:, None] * 1.0))
+    assert validate(bad)[0].startswith("batched history probe failed")
+    sg = operator_norm_bound(bad.generator, bad.horizon)
+    with pytest.raises(IndexError):
+        apriori_bound(bad, entry.lipschitz, sg)
+
+
 # ---------------------------------------------------------------------------
 # the O(N) sums against the column sweep
 
@@ -218,9 +252,16 @@ def column_rect(rows, t_count, sigma, n):
     return out
 
 
-def row_kernel(n):
-    """A KernelU over a U that ignores t: its window argument is the row itself."""
-    return KernelU(SimpleNamespace(U=lambda t, s, row: row, dimension=n))
+def u_problem(U, n):
+    """What the Volterra sums read of a problem: U, n and U's form, probed as
+    `ImpulsiveProblem._u_form` probes it, here on a window that is a row itself."""
+    form = probe_t(U, np.array([0.0, 1.0]), 0.0, np.ones(n), n)
+    return SimpleNamespace(U=U, dimension=n, _u_form=form)
+
+
+def row_problem(n):
+    """A U that ignores t: its window argument is the row itself."""
+    return u_problem(lambda t, s, row: row, n)
 
 
 @st.composite
@@ -261,32 +302,30 @@ def assert_same_bits_but_nan_sign(got, want):
 def test_linear_volterra_sums_equal_column_sweep(case):
     nodes, rows, n = case
     segs = list(rows)
-    kernel = row_kernel(n)
-    got = volterra_tri(kernel, nodes, segs, n)
-    assert kernel.t_free
+    problem = row_problem(n)
+    assert problem._u_form == "t_free"
+    got = volterra_tri(problem, nodes, segs)
     assert_same_bits_but_nan_sign(got, column_tri(rows, nodes, n))
     t_nodes = np.linspace(0.0, 1.0, 4)
-    got = volterra_rect(row_kernel(n), t_nodes, nodes, segs, n)
+    got = volterra_rect(problem, t_nodes, nodes, segs)
     assert_same_bits_but_nan_sign(got, column_rect(rows, len(t_nodes), nodes, n))
 
 
 def test_negative_zero_terms_sum_to_positive_zero():
     nodes = np.array([0.0, 0.5, 0.5, 1.0])
     rows = np.full((4, 1), -0.0)
-    z = volterra_tri(row_kernel(1), nodes, list(rows), 1)
+    z = volterra_tri(row_problem(1), nodes, list(rows))
     assert z.tobytes() == np.zeros((4, 1)).tobytes()
-    total = volterra_rect(row_kernel(1), np.array([0.0, 1.0]), nodes, list(rows), 1)
+    total = volterra_rect(row_problem(1), np.array([0.0, 1.0]), nodes, list(rows))
     assert total.tobytes() == np.zeros((2, 1)).tobytes()
 
 
 def test_kernel_depending_on_t_keeps_the_column_sweep():
-    problem = SimpleNamespace(U=lambda t, s, row: np.exp(-(np.asarray(t) - s)) * row[0],
-                              dimension=1)
-    kernel = KernelU(problem)
+    problem = u_problem(lambda t, s, row: np.exp(-(np.asarray(t) - s)) * row[0], 1)
+    assert problem._u_form == "broadcast"
     nodes = np.linspace(0.0, 1.0, 9)
     rows = np.linspace(1.0, 2.0, 9)[:, None]
-    z = volterra_tri(kernel, nodes, list(rows), 1)
-    assert not kernel.t_free
+    z = volterra_tri(problem, nodes, list(rows))
     ref = np.zeros((9, 1))
     for j in range(1, 9):
         vals = np.exp(-(nodes[j] - nodes[:j + 1])) * rows[:j + 1, 0]
@@ -296,19 +335,26 @@ def test_kernel_depending_on_t_keeps_the_column_sweep():
 
 def test_kernel_disagreeing_with_its_scalar_calls_gets_the_scalar_loop():
     # one row for a vector of t, another value for each scalar t
-    kernel = KernelU(SimpleNamespace(U=lambda t, s, row: row + np.ndim(t), dimension=1))
+    problem = u_problem(lambda t, s, row: row + np.ndim(t), 1)
+    assert problem._u_form == "disagrees"
     nodes = np.linspace(0.0, 1.0, 5)
     rows = np.linspace(1.0, 2.0, 5)[:, None]
-    z = volterra_tri(kernel, nodes, list(rows), 1)
-    assert not kernel.t_free
-    assert z.tobytes() == volterra_tri(row_kernel(1), nodes, list(rows), 1).tobytes()
+    z = volterra_tri(problem, nodes, list(rows))
+    assert z.tobytes() == volterra_tri(row_problem(1), nodes, list(rows)).tobytes()
 
 
-def test_one_outer_time_does_not_declare_t_free():
-    # a single t cannot tell a row that ignores t from one that uses it
-    kernel = row_kernel(1)
-    volterra_rect(kernel, np.array([0.5]), np.array([0.0, 1.0]), [np.ones(1), np.ones(1)], 1)
-    assert not kernel.t_free
+def test_volterra_term_of_a_t_free_U_marked_or_not(solve_cache):
+    # the form is probed at two outer times, so volterra_term's one outer time
+    # takes the O(N) sum, with the bits of the column sweep of a U that returns
+    # a row per t
+    problem, _, traj, _ = solve_cache("windowed_impulse")
+    U = problem.U
+    plain = replace(problem, U=lambda t, s, w_s: U(t, s, w_s))
+    per_t = replace(problem, U=lambda t, s, w_s: np.zeros(np.shape(t) + (1,)) + U(s, s, w_s))
+    assert [p._u_form for p in (problem, plain, per_t)] == ["t_free", "t_free", "broadcast"]
+    for t in (0.3, 0.5, problem.horizon, float(traj.main_times[7])):
+        want = bits(volterra_term(per_t, traj, t))
+        assert bits(volterra_term(problem, traj, t)) == bits(volterra_term(plain, traj, t)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="picard.tol"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("rule", ["simpson", "trapezoid"])
+    def test_quadrature_key_is_unknown(self, tmp_path, capsys, rule):
+        # the trapezoid rule is the only one, so the config names none
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"problem: {{name: paper_example}}\ndiscretization: {{quadrature: {rule}}}\n")
+        with pytest.raises(ConfigError, match="^unknown key: discretization.quadrature$"):
+            load_config(str(path))
+        assert run(["inequality", "--config", str(path), "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "discretization.quadrature" in captured.err and "Traceback" not in captured.err
+        assert "max violation" not in captured.out
+
     def test_negative_step_names_key(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("problem: {name: paper_example}\ndiscretization: {step: -1}\n")
@@ -109,7 +121,6 @@ class TestLoadConfig:
         assert "certificate" not in captured.out
 
     @pytest.mark.parametrize("section, key", [
-        ("discretization: {quadrature: simpson}", "discretization.quadrature"),
         ("picard: {max_iterations: 0}", "picard.max_iterations"),
         ("picard: {initial_iterate: x}", "picard.initial_iterate"),
         ("seed: -3", "seed"),

@@ -5,7 +5,6 @@ history is sampled once on the validation grid."""
 import math
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,8 @@ from impulsedde import (Discretization, check_dependence, get_entry, mild_residu
                         operator_norm_bound, solve_mild, with_history)
 from impulsedde.bounds import _history_gap
 from impulsedde.model import as_state, node_rows, t_rows
-from impulsedde.quadrature import KernelU, segment_grid, volterra_tri
+from impulsedde.quadrature import segment_grid, volterra_tri
+from test_batched import u_problem
 
 
 def bits(x):
@@ -100,9 +100,9 @@ def sweep_cases(draw):
 def test_column_sweep_equals_the_old_loop(case):
     nodes, rows, n, U = case
     segs = list(rows)
-    kernel = KernelU(SimpleNamespace(U=U, dimension=n))
-    got = volterra_tri(kernel, nodes, segs, n)
-    assert not kernel.t_free
+    problem = u_problem(U, n)
+    assert problem._u_form == ("scalar" if U is scalar_U else "broadcast")
+    got = volterra_tri(problem, nodes, segs)
     assert bits(got) == bits(old_tri(old_column(U, n), nodes, segs, n))
 
 
@@ -110,7 +110,7 @@ def test_long_sweep_equals_the_old_loop():
     rng = np.random.default_rng(3)
     nodes = np.concatenate([np.linspace(0.0, 1.0, 350), np.linspace(1.0, 2.0, 350)])
     rows = rng.uniform(-1.0, 1.0, (700, 2))
-    got = volterra_tri(KernelU(SimpleNamespace(U=row_U, dimension=2)), nodes, list(rows), 2)
+    got = volterra_tri(u_problem(row_U, 2), nodes, list(rows))
     assert bits(got) == bits(old_tri(old_column(row_U, 2), nodes, list(rows), 2))
 
 
@@ -121,25 +121,26 @@ def test_non_broadcasting_U_is_called_once_per_t():
         calls.append(t)
         return scalar_U(t, s, row)
 
+    problem = u_problem(U, 1)
+    assert problem._u_form == "scalar"  # the probe's one array call fails
+    calls.clear()
     nodes = np.array([0.0, 0.1, 0.1, 0.3, 0.6])
     rows = np.linspace(1.0, 2.0, 5)[:, None]
-    volterra_tri(KernelU(SimpleNamespace(U=U, dimension=1)), nodes, list(rows), 1)
-    # the probe's one array call fails and its column is read by scalar calls;
-    # that column is the sweep's column 0, and every other column calls U once per t
+    volterra_tri(problem, nodes, list(rows))
+    # every column calls U once per t, and the sweep makes no array call
     T = len(nodes)
-    assert len(calls) == 1 + sum(T - i for i in range(T))
-    assert all(type(t) is float for t in calls[1:])
+    assert len(calls) == sum(T - i for i in range(T))
+    assert all(type(t) is float for t in calls)
 
 
 def test_long_sweep_allocates_no_square_array():
     T = 2048
     nodes = np.linspace(0.0, 1.0, T)
     segs = list(np.linspace(1.0, 2.0, T)[:, None])
-    kernel = KernelU(SimpleNamespace(U=flat_U, dimension=1))
-    volterra_tri(kernel, nodes[:3], segs[:3], 1)  # probe outside the traced run
+    problem = u_problem(flat_U, 1)  # probed outside the traced run
     tracemalloc.start()
     try:
-        volterra_tri(kernel, nodes, segs, 1)
+        volterra_tri(problem, nodes, segs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,6 +242,7 @@ def test_history_gap_equals_fresh_sampling(delay_b):
 def test_mild_residual_ignores_the_discretization():
     problem = get_entry("windowed_impulse").problem
     traj, report = solve_mild(problem, Discretization(step=5e-3))
-    coarse = mild_residual(problem, traj, Discretization(step=0.1))
-    fine = mild_residual(problem, traj, Discretization(step=1e-4))
-    assert coarse.hex() == fine.hex() == report.final_residual.hex()
+    # no discretization is passed: the refined grid comes from the trajectory
+    again = mild_residual(problem, traj)
+    fresh = mild_residual(get_entry("windowed_impulse").problem, traj)
+    assert again.hex() == fresh.hex() == report.final_residual.hex()
