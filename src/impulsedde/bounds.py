@@ -456,14 +456,12 @@ def check_dependence(kind: str, problem_a: ImpulsiveProblem, problem_b: Impulsiv
                      disc: Discretization = Discretization(),
                      control: PicardControl = PicardControl(),
                      rho_gap: float = 0.0, mu_gap: float = 0.0) -> DependenceReport:
-    """Solve both problems and compare their sigma distance with the matching bound.
+    """Solve both problems and compare their sigma distance with the matching bound,
+    which is evaluated first, so a bad kind or gap raises before any solve.
 
     The verdict allows a numerical budget of twice each solve's residual, since
     the bounds compare exact solutions.
     """
-    traj_a, rep_a = solve_mild(problem_a, disc, control)
-    traj_b, rep_b = solve_mild(problem_b, disc, control)
-    empirical = sigma_diff(traj_a, traj_b)
     if kind == "initial":
         theoretical = dependence_initial_bound(problem_a, lip, sg, _history_gap(problem_a, problem_b))
     elif kind == "parameter":
@@ -472,6 +470,9 @@ def check_dependence(kind: str, problem_a: ImpulsiveProblem, problem_b: Impulsiv
         theoretical = dependence_function_bound(problem_a, lip, sg)
     else:
         raise ValueError(f"unknown dependence kind {kind!r}")
+    traj_a, rep_a = solve_mild(problem_a, disc, control)
+    traj_b, rep_b = solve_mild(problem_b, disc, control)
+    empirical = sigma_diff(traj_a, traj_b)
     budget = 2.0 * (rep_a.final_residual + rep_b.final_residual)
     return DependenceReport(
         kind=kind,

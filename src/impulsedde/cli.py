@@ -90,7 +90,8 @@ def _has_type(value, kind) -> bool:
 
 
 def _check_schema(data: dict, schema: dict, prefix: str = ""):
-    """Reject unknown keys and values that are not of the declared type."""
+    """Reject unknown keys and values that are not of the declared type, and
+    convert float-typed values to floats in place."""
     for key, value in data.items():
         path = f"{prefix}{key}"
         if key not in schema:
@@ -102,6 +103,8 @@ def _check_schema(data: dict, schema: dict, prefix: str = ""):
             _check_schema(value, kind, prefix=f"{path}.")
         elif not _has_type(value, kind):
             raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+        elif kind is float:
+            data[key] = float(value)
 
 
 def load_config(path: str) -> RunConfig:
@@ -123,17 +126,14 @@ def load_config(path: str) -> RunConfig:
     for key, value in problem.get("parameters", {}).items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"problem.parameters.{key} must be a number")
-    disc = data.get("discretization", {})
-    picard = data.get("picard", {})
-    # the dataclasses check the ranges; their messages start with the field name
+    # the dataclasses hold the defaults and check the ranges; their messages start
+    # with the field name
     try:
-        discretization = Discretization(step=float(disc.get("step", 1e-3)))
+        discretization = Discretization(**data.get("discretization", {}))
     except ValueError as exc:
         raise ConfigError(f"discretization.{exc}") from exc
     try:
-        control = PicardControl(tolerance=float(picard.get("tolerance", 1e-10)),
-                                max_iterations=picard.get("max_iterations", 200),
-                                initial_iterate=picard.get("initial_iterate", "constant"))
+        control = PicardControl(**data.get("picard", {}))
     except ValueError as exc:
         raise ConfigError(f"picard.{exc}") from exc
     seed = data.get("seed", 0)
@@ -418,7 +418,7 @@ def run(argv) -> int:
                 cfg = load_config(args.config)
                 seed, step = cfg.seed, cfg.step
             else:
-                seed, step = 0, 1e-3
+                seed, step = 0, Discretization().step
             if args.seed is not None:
                 if args.seed < 0:
                     raise ConfigError(f"--seed must be >= 0, got {args.seed}")

@@ -243,16 +243,14 @@ class CatalogEntry:
     problem: ImpulsiveProblem
     lipschitz: LipschitzData
     free_parameters: dict
-    factory: Callable = field(repr=False, default=None)
+    factory: Callable = field(repr=False)
 
     def instantiate(self, **overrides):
         """Build (problem, lipschitz) at the given parameter values.
 
         Unknown names and out-of-range values are rejected.
         """
-        params = {}
-        for name, fp in self.free_parameters.items():
-            params[name] = fp.default
+        params = {name: fp.default for name, fp in self.free_parameters.items()}
         for name, value in overrides.items():
             if name not in self.free_parameters:
                 raise ValueError(f"{self.name} has no parameter {name!r}")
@@ -384,7 +382,7 @@ def _constant(c: float):
     """A constant Lipschitz modulus t -> c, marked and shape-generic."""
     return batched(lambda t: np.full(np.shape(t), c))
 
-def _paper_example(L_G=0.01, r_eff=1.0, u_constant=-1.0):
+def _paper_example(L_G, r_eff, u_constant):
     """Scalar Volterra delay problem with one zero-width integral impulse.
 
     The semigroup is T(t)x = e^t x; the delayed reads happen at -r_eff and the
@@ -450,7 +448,7 @@ def _pure_semigroup():
     return problem, lip
 
 
-def _method_of_steps(r=1.0):
+def _method_of_steps(r):
     """w'(t) = w(t - r) with unit constant history: the classic stepping chain."""
     problem = ImpulsiveProblem(
         dimension=1,
@@ -470,7 +468,7 @@ def _method_of_steps(r=1.0):
     return problem, lip
 
 
-def _windowed_impulse(L_G=0.05):
+def _windowed_impulse(L_G):
     """Planar problem with a genuine jump fed by a nonzero integration window."""
     A = [[0.0, 0.4], [-0.4, 0.0]]
 
@@ -519,7 +517,7 @@ def _windowed_impulse(L_G=0.05):
     return problem, lip
 
 
-def _parameter_family(rho=1.0, mu=1.0):
+def _parameter_family(rho, mu):
     """Scalar family V(t, rho, ., .), G(t, mu, .) for the sensitivity bounds.
 
     The moduli N_V_tilde and L_G_tilde are uniform over the parameter ranges
@@ -566,80 +564,32 @@ def _parameter_family(rho=1.0, mu=1.0):
     return problem, lip
 
 
+# every built-in problem: name -> (factory, free parameters); the factory takes
+# exactly the free parameters, and the catalog problem is the factory at their defaults
+_CATALOG = {
+    "paper_example": (_paper_example, {"L_G": FreeParameter(0.01, 1e-6, 1.0),
+                                       "r_eff": FreeParameter(1.0, 0.05, 1.0),
+                                       "u_constant": FreeParameter(-1.0, -1.0, 1.0)}),
+    "pure_semigroup": (_pure_semigroup, {}),
+    "method_of_steps": (_method_of_steps, {"r": FreeParameter(1.0, 0.25, 2.0)}),
+    "windowed_impulse": (_windowed_impulse, {"L_G": FreeParameter(0.05, 1e-6, 0.6)}),
+    "parameter_family": (_parameter_family, {"rho": FreeParameter(1.0, 0.5, 1.5),
+                                             "mu": FreeParameter(1.0, 0.5, 1.5)}),
+}
+
+
 def build_catalog() -> list:
     """All built-in problems, each with its constants and free parameters."""
-    entries = []
-
-    p, l = _paper_example()
-    entries.append(
-        CatalogEntry(
-            name="paper_example",
-            problem=p,
-            lipschitz=l,
-            free_parameters={
-                "L_G": FreeParameter(0.01, 1e-6, 1.0),
-                "r_eff": FreeParameter(1.0, 0.05, 1.0),
-                "u_constant": FreeParameter(-1.0, -1.0, 1.0),
-            },
-            factory=_paper_example,
-        )
-    )
-
-    p, l = _pure_semigroup()
-    entries.append(
-        CatalogEntry(
-            name="pure_semigroup",
-            problem=p,
-            lipschitz=l,
-            free_parameters={},
-            factory=lambda: _pure_semigroup(),
-        )
-    )
-
-    p, l = _method_of_steps()
-    entries.append(
-        CatalogEntry(
-            name="method_of_steps",
-            problem=p,
-            lipschitz=l,
-            free_parameters={"r": FreeParameter(1.0, 0.25, 2.0)},
-            factory=_method_of_steps,
-        )
-    )
-
-    p, l = _windowed_impulse()
-    entries.append(
-        CatalogEntry(
-            name="windowed_impulse",
-            problem=p,
-            lipschitz=l,
-            free_parameters={"L_G": FreeParameter(0.05, 1e-6, 0.6)},
-            factory=_windowed_impulse,
-        )
-    )
-
-    p, l = _parameter_family()
-    entries.append(
-        CatalogEntry(
-            name="parameter_family",
-            problem=p,
-            lipschitz=l,
-            free_parameters={
-                "rho": FreeParameter(1.0, 0.5, 1.5),
-                "mu": FreeParameter(1.0, 0.5, 1.5),
-            },
-            factory=_parameter_family,
-        )
-    )
-    return entries
+    return [get_entry(name) for name in _CATALOG]
 
 
 def get_entry(name: str) -> CatalogEntry:
-    for entry in build_catalog():
-        if entry.name == name:
-            return entry
-    known = ", ".join(e.name for e in build_catalog())
-    raise KeyError(f"unknown catalog entry {name!r} (known: {known})")
+    """The built-in problem `name` at its defaults; only its own factory runs."""
+    if name not in _CATALOG:
+        raise KeyError(f"unknown catalog entry {name!r} (known: {', '.join(_CATALOG)})")
+    factory, params = _CATALOG[name]
+    problem, lip = factory(**{key: fp.default for key, fp in params.items()})
+    return CatalogEntry(name, problem, lip, dict(params), factory)
 
 
 def with_history(problem: ImpulsiveProblem, history: Callable) -> ImpulsiveProblem:

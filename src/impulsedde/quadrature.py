@@ -66,17 +66,11 @@ def _sequential_sum(weights, rows, skip):
 
 def _u_column(problem, ts, s, seg) -> np.ndarray:
     """U(t, s, seg) at every t of ts as (T, n) rows: one call over ts for a U that
-    broadcasts over t, used as returned when it is already a float (T, n) array,
-    or (T,) when n = 1; else one call per t."""
+    broadcasts over t (read by `t_rows`, a view of a float result), else one call
+    per t."""
     U, n = problem.U, problem.dimension
     if problem._u_form == "broadcast":
-        col = U(ts, s, seg)
-        if type(col) is np.ndarray and col.dtype == float:
-            if col.shape == (len(ts), n):
-                return col
-            if col.shape == (len(ts),) and n == 1:
-                return col[:, None]
-        return t_rows(col, len(ts), n)
+        return t_rows(U(ts, s, seg), len(ts), n)
     return np.stack([as_state(U(t, s, seg), n) for t in ts.tolist()])
 
 

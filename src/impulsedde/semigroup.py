@@ -200,11 +200,11 @@ def apply_stack(stack: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def evolve(A, t: float, x) -> np.ndarray:
-    """e^{At} x for t >= 0."""
+    """e^{At} x for finite t >= 0."""
     A = _check_square(A)
     t = float(t)
-    if t < 0.0:
-        raise ValueError("evolve is defined for t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"evolve is defined for finite t >= 0, got {t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (A.shape[0],):
         raise ValueError(f"state must have length {A.shape[0]}")

@@ -367,16 +367,17 @@ class PiecewiseTrajectory:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _check_domain(self, t: float, upper: float):
+    def _check_domain(self, ts):
+        """Raise unless every t lies in [-r, coverage_end], up to a rounding pad."""
+        ts, upper = np.asarray(ts, dtype=float), self.coverage_end
         pad = _EDGE_TOL * (1.0 + self.horizon + self.delay)
-        if not -self.delay - pad <= t <= upper + pad:  # NaN too
-            raise ValueError(f"t={t} outside [{-self.delay}, {upper}]")
+        bad = ~((-self.delay - pad <= ts) & (ts <= upper + pad))  # NaN too
+        if np.any(bad):
+            raise ValueError(f"t={ts[bad].flat[0]} outside [{-self.delay}, {upper}]")
 
     def eval(self, t: float) -> np.ndarray:
         """Left-continuous value: at an impulse time this is w(t_k^-)."""
-        t = float(t)
-        self._check_domain(t, self.coverage_end)
-        return self.eval_many(np.array([t]))[0]
+        return self.eval_many(np.array([float(t)]))[0]
 
     def eval_right(self, t: float) -> np.ndarray:
         """Right limit w(t^+); differs from eval only at impulse times.
@@ -386,14 +387,15 @@ class PiecewiseTrajectory:
         t = float(t)
         if t >= self.horizon:
             raise ValueError(f"right limit undefined at t={t} >= horizon {self.horizon}")
-        self._check_domain(t, self.coverage_end)
+        self._check_domain(t)
         if t == self.coverage_end and 0 < len(self.right_limits) == len(self.blocks) - 1:
             # coverage ends at an impulse whose jump is already recorded
             return self.right_limits[-1].copy()
         return self._view.eval_right(t).copy()
 
     def eval_many(self, ts) -> np.ndarray:
-        """Vectorized left-continuous evaluation."""
+        """Vectorized left-continuous evaluation on [-r, coverage_end]."""
+        self._check_domain(ts)
         return _interp_sorted(self._view.times, self._view.values, ts)
 
     @cached_property

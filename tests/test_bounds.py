@@ -27,6 +27,7 @@ from impulsedde import (
     random_instance,
     with_history,
 )
+from impulsedde import bounds
 from impulsedde.bounds import _reduction_instance
 from impulsedde.quadrature import cumtrap, window_nodes
 
@@ -492,6 +493,20 @@ class TestCheckDependence:
         sg = operator_norm_bound(problem.generator, problem.horizon)
         with pytest.raises(ValueError, match="kind"):
             check_dependence("spectral", problem, problem, lip, sg, self.DISC, self.CTRL)
+
+    def test_bad_kind_or_gap_raises_before_solving(self, monkeypatch):
+        entry = get_entry("parameter_family")
+        problem, lip = entry.problem, entry.lipschitz
+        sg = operator_norm_bound(problem.generator, problem.horizon)
+        solves = []
+        solve_mild = bounds.solve_mild
+        monkeypatch.setattr(bounds, "solve_mild", lambda *a: solves.append(a) or solve_mild(*a))
+        with pytest.raises(ValueError, match="kind"):
+            check_dependence("spectral", problem, problem, lip, sg, self.DISC, self.CTRL)
+        with pytest.raises(ValueError, match="parameter gaps"):
+            check_dependence("parameter", problem, problem, lip, sg, self.DISC, self.CTRL,
+                             rho_gap=float("nan"))
+        assert solves == []
 
 
 class TestInstanceValidation:

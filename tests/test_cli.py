@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from impulsedde import cli
+from impulsedde import Discretization, PicardControl, cli
 from impulsedde.cli import (
     ConfigError,
     load_config,
@@ -154,6 +154,14 @@ class TestLoadConfig:
         path = tmp_path / "c.yaml"
         path.write_text("problem: {name: paper_example}\ndiscretization: {step: 1e-3}\n")
         assert load_config(str(path)).step == 1e-3
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: {name: paper_example}\npicard: {tolerance: 1}\n")
+        cfg = load_config(str(path))
+        assert cfg.discretization == Discretization()
+        assert cfg.picard == PicardControl(tolerance=1.0)
+        assert type(cfg.picard.tolerance) is float
 
 
 class TestCertify:

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from impulsedde import Discretization, batched, build_catalog, get_entry, solve_mild, validate
+from impulsedde import (Discretization, FreeParameter, batched, build_catalog, get_entry, model,
+                        solve_mild, validate)
 from impulsedde.trajectory import HistorySegment, _Windows
 
 
@@ -79,8 +80,29 @@ class TestCatalog:
         assert hi - lo == pytest.approx(2.0)
 
     def test_get_entry_unknown(self):
-        with pytest.raises(KeyError):
+        known = "paper_example, pure_semigroup, method_of_steps, windowed_impulse, parameter_family"
+        with pytest.raises(KeyError, match=f"'does_not_exist' \\(known: {known}\\)"):
             get_entry("does_not_exist")
+
+    @pytest.mark.parametrize("broken", list(model._CATALOG))
+    def test_get_entry_runs_only_its_own_factory(self, broken, monkeypatch):
+        def fail(**params):
+            raise RuntimeError(f"{broken} factory called")
+
+        monkeypatch.setitem(model._CATALOG, broken, (fail, model._CATALOG[broken][1]))
+        for name in model._CATALOG:
+            if name != broken:
+                assert get_entry(name).name == name
+        with pytest.raises(RuntimeError, match=broken):
+            build_catalog()
+
+    @pytest.mark.parametrize("name", list(model._CATALOG))
+    def test_free_parameters_are_a_copy(self, name):
+        before = dict(get_entry(name).free_parameters)
+        params = get_entry(name).free_parameters
+        params.clear()
+        params["bogus"] = FreeParameter(0.0, 0.0, 1.0)
+        assert get_entry(name).free_parameters == before
 
 
 def _probe(problem):

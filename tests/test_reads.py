@@ -40,7 +40,7 @@ def ref_interp(grid, vals, ts):
 
 def ref_eval(traj, t):
     t = float(t)
-    traj._check_domain(t, traj.coverage_end)
+    traj._check_domain(t)
     if t <= 0.0:
         ht, hv = traj.blocks[0]
         return ref_interp(ht, hv, np.array([t]))[0]
@@ -51,7 +51,7 @@ def ref_eval_right(traj, t):
     t = float(t)
     if t >= traj.horizon:
         raise ValueError("no right limit at the horizon")
-    traj._check_domain(t, traj.coverage_end)
+    traj._check_domain(t)
     if t < 0.0:
         ht, hv = traj.blocks[0]
         return ref_interp(ht, hv, np.array([t]))[0]

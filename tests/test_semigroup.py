@@ -33,6 +33,11 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve([[1.0]], -0.1, [1.0])
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            evolve([[0.0, 0.4], [-0.4, 0.0]], t, [1.0, 0.0])
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             evolve(np.ones((2, 3)), 1.0, [1.0, 2.0])

@@ -100,11 +100,13 @@ class TestEval:
     lambda problem, traj, t: traj.eval_right(t),
     lambda problem, traj, t: traj.history_segment(t)(-0.1),
     lambda problem, traj, t: volterra_term(problem, traj, t),
-], ids=["eval", "eval_right", "history_segment", "volterra_term"])
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    lambda problem, traj, t: traj.eval_many([0.5, t]),
+], ids=["eval", "eval_right", "history_segment", "volterra_term", "eval_many"])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 50.0, -7.0])
 def test_times_outside_the_domain_raise(read, t, solve_cache):
     # a NaN time fails every comparison, so a check written as t < lo or t > hi
-    # lets it through to read [nan nan]
+    # lets it through to read [nan nan]; a finite time past either end would be
+    # clamped onto the end node
     problem, _, traj, _ = solve_cache("windowed_impulse")
     with pytest.raises(ValueError):
         read(problem, traj, t)
