@@ -24,7 +24,7 @@ from .model import ImpulsiveProblem, LipschitzData, as_state, batched, node_rows
 from .quadrature import cumtrap, segment_grid, volterra_tri, window_nodes
 from .semigroup import SemigroupBound
 from .solver import Discretization, PicardControl, solve_mild
-from .trajectory import _StateView, sigma_diff
+from .trajectory import _StateView, require_comparable, sigma_diff
 
 __all__ = [
     "PachpatteInstance",
@@ -456,12 +456,16 @@ def check_dependence(kind: str, problem_a: ImpulsiveProblem, problem_b: Impulsiv
                      disc: Discretization = Discretization(),
                      control: PicardControl = PicardControl(),
                      rho_gap: float = 0.0, mu_gap: float = 0.0) -> DependenceReport:
-    """Solve both problems and compare their sigma distance with the matching bound,
-    which is evaluated first, so a bad kind or gap raises before any solve.
+    """Solve both problems and compare their sigma distance with the matching bound.
+
+    A pair that differs in dimension, horizon or impulse times is rejected
+    first, and the bound is evaluated next, so an incomparable pair, a bad kind
+    or a bad gap raises before any solve.
 
     The verdict allows a numerical budget of twice each solve's residual, since
     the bounds compare exact solutions.
     """
+    require_comparable(problem_a, problem_b)
     if kind == "initial":
         theoretical = dependence_initial_bound(problem_a, lip, sg, _history_gap(problem_a, problem_b))
     elif kind == "parameter":

@@ -39,7 +39,7 @@ from .bounds import (
 from .model import CatalogEntry, as_state, get_entry, with_history
 from .semigroup import operator_norm_bound
 from .solver import ConvergenceError, Discretization, PicardControl, solve_mild
-from .trajectory import PiecewiseTrajectory, sigma_diff
+from .trajectory import PiecewiseTrajectory, require_comparable, sigma_diff
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "main"]
 
@@ -334,12 +334,13 @@ def _cmd_inequality(samples: int, seed: int, out: str | None, step: float) -> in
 def _cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig) -> int:
     _, problem_a, _ = _resolve(cfg_a)
     _, problem_b, _ = _resolve(cfg_b)
-    traj_a, _ = solve_mild(problem_a, cfg_a.discretization, cfg_a.picard)
-    traj_b, _ = solve_mild(problem_b, cfg_b.discretization, cfg_b.picard)
     try:
-        total = sigma_diff(traj_a, traj_b)
+        require_comparable(problem_a, problem_b)
     except ValueError as exc:
         raise ConfigError(f"configs are not comparable: {exc}") from exc
+    traj_a, _ = solve_mild(problem_a, cfg_a.discretization, cfg_a.picard)
+    traj_b, _ = solve_mild(problem_b, cfg_b.discretization, cfg_b.picard)
+    total = sigma_diff(traj_a, traj_b)
     print(f"sigma_diff = {total:.9g}")
     for j, ((at, _), (bt, _)) in enumerate(zip(traj_a.blocks[1:], traj_b.blocks[1:])):
         grid = np.unique(np.concatenate([at, bt]))

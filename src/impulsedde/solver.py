@@ -20,6 +20,7 @@ so no N x N matrix is ever materialized.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ class Discretization:
     step: float = 1e-3
 
     def __post_init__(self):
-        if not 0.0 < self.step < math.inf:
+        if isinstance(self.step, bool) or not 0.0 < self.step < math.inf:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
 
 
@@ -59,10 +60,11 @@ class PicardControl:
     initial_iterate: str = "constant"
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:
+        if isinstance(self.tolerance, bool) or not 0.0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
         if self.initial_iterate not in ("constant", "ramp"):
             raise ValueError("initial_iterate must be 'constant' or 'ramp', "
                              f"got {self.initial_iterate!r}")
@@ -117,7 +119,8 @@ def window_integral(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, k: int
 
 def jump_value(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, k: int) -> np.ndarray:
     """I_k applied to the window integral: the state jump added at t_k."""
-    return as_state(problem.jump_maps[k - 1](window_integral(problem, traj, k)), problem.dimension)
+    integral = window_integral(problem, traj, k)  # checks k before I_k is looked up
+    return as_state(problem.jump_maps[k - 1](integral), problem.dimension)
 
 
 def volterra_term(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, t: float) -> np.ndarray:
@@ -211,15 +214,11 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     x0 = np.zeros((T, n))
     x0[0] = w_plus
 
-    ht, hv = prefix.blocks[0]
-    pre_t, pre_v = prefix.main_times, prefix.main_values
-    view_times = np.concatenate([ht, pre_t, times])
-
+    pre = prefix._view
+    view_times = np.concatenate([pre.times, times])
     # the prefix part of the inner integral is iterate-independent
-    if len(pre_t):
-        z_rect = volterra_rect(problem, times, pre_t, prefix._view.windows(pre_t, pre_v))
-    else:
-        z_rect = np.zeros((T, n))
+    pre_t = prefix.main_times
+    z_rect = volterra_rect(problem, times, pre_t, pre.windows(pre_t, prefix.main_values))
 
     if control.initial_iterate == "constant":
         values = np.broadcast_to(w_plus, (T, n)).copy()
@@ -229,10 +228,8 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     tol = control.tolerance
     best_gap = np.inf
     stall = 0
-    gap = np.inf
-    iterations = 0
     for iterations in range(1, control.max_iterations + 1):
-        view = _StateView(problem.delay, view_times, np.concatenate([hv, pre_v, values], axis=0))
+        view = _StateView(problem.delay, view_times, np.concatenate([pre.values, values], axis=0))
         new = _mild_map(problem, view, times, values, duhamel, x0, z_rect)
         gap = float(np.max(np.abs(new - values)))
         if not math.isfinite(gap):
@@ -299,21 +296,6 @@ def solve_mild(problem: ImpulsiveProblem,
 # ---------------------------------------------------------------------------
 # defect of the defining identity
 
-def _refine_block(bt: np.ndarray, bv: np.ndarray):
-    """Insert interval midpoints; values at midpoints follow the stored linear
-    interpolation, so the refinement adds quadrature nodes without changing w."""
-    T = len(bt)
-    rt = np.empty(2 * T - 1)
-    rv = np.empty((2 * T - 1, bv.shape[1]))
-    rt[0::2] = bt
-    rt[1::2] = 0.5 * (bt[:-1] + bt[1:])
-    rv[0::2] = bv
-    rv[1::2] = 0.5 * (bv[:-1] + bv[1:])
-    native = np.zeros(2 * T - 1, dtype=bool)
-    native[0::2] = True
-    return rt, rv, native
-
-
 def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory) -> float:
     """Sup defect of w(t) against the mild formula at the native nodes.
 
@@ -323,16 +305,20 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory) -> float
     n = problem.dimension
     if not traj.complete:
         raise ValueError("mild_residual needs a trajectory covering [0, horizon]")
-    rts, rvs, natives = [], [], []
-    for bt, bv in traj.blocks[1:]:
-        # each block's first node already carries its one-sided (post-jump) value
-        rt, rv, nat = _refine_block(bt, bv)
-        rts.append(rt)
-        rvs.append(rv)
-        natives.append(nat)
-    sigma = np.concatenate(rts)
-    w_ref = np.concatenate(rvs, axis=0)
-    native = np.concatenate(natives)
+    # midpoints follow the stored linear interpolation, so they add quadrature
+    # nodes without changing w; each t_k's two copies (pre- and post-jump value)
+    # bound a zero-width step, which gets none
+    t, w = traj.main_times, traj.main_values
+    sigma = np.empty(2 * len(t) - 1)
+    sigma[0::2] = t
+    sigma[1::2] = 0.5 * (t[:-1] + t[1:])
+    w_ref = np.empty((len(sigma), n))
+    w_ref[0::2] = w
+    w_ref[1::2] = 0.5 * (w[:-1] + w[1:])
+    keep = np.ones(len(sigma), dtype=bool)
+    keep[1::2] = t[1:] != t[:-1]
+    at = np.flatnonzero(keep)  # even positions are the stored nodes
+    sigma, w_ref = sigma[at], w_ref[at]
 
     ht, hv = traj.blocks[0]
     view = _StateView(problem.delay, np.concatenate([ht, sigma]),
@@ -347,4 +333,4 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory) -> float
     rhs = _mild_map(problem, view, sigma, w_ref, _Duhamel(problem.generator, sigma), x0)
 
     defect = np.max(np.abs(w_ref - rhs), axis=1)
-    return float(np.max(defect[native]))
+    return float(np.max(defect[at % 2 == 0]))

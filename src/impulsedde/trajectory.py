@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["HistorySegment", "PiecewiseTrajectory", "sigma_diff"]
+__all__ = ["HistorySegment", "PiecewiseTrajectory", "require_comparable", "sigma_diff"]
 
 _EDGE_TOL = 1e-9
 _KEPT_READS = 64  # distinct thetas a `_Windows` keeps the reads of for its rows
@@ -289,7 +289,9 @@ class PiecewiseTrajectory:
     [t_{j-1}, t_j] with t_0 = 0 and the final block ending at the horizon.
     A partially built trajectory (prefix of the full block list) is allowed;
     `complete` tells the two apart. right_limits[k] is w(t_k^+) and equals the
-    first node value of block k+2 once that block exists.
+    first node value of block k+2 once that block exists. `_view` lays the
+    blocks end to end as one node array; `main_times` and `main_values` are its
+    part past the history block.
     """
 
     dimension: int
@@ -343,19 +345,20 @@ class PiecewiseTrajectory:
                 if not np.array_equal(rl[j - 2], bv[0]):
                     raise ValueError(f"block {j} first node must carry right_limits[{j - 2}]")
 
-    # -- derived flat arrays used by evaluation -------------------------------
+    # -- the one flat node array: history then main nodes ---------------------
 
     @cached_property
+    def _view(self) -> _StateView:
+        return _StateView(self.delay, np.concatenate([t for t, _ in self.blocks]),
+                          np.concatenate([v for _, v in self.blocks], axis=0))
+
+    @property
     def main_times(self) -> np.ndarray:
-        if len(self.blocks) == 1:
-            return np.empty(0)
-        return np.concatenate([t for t, _ in self.blocks[1:]])
+        return self._view.times[len(self.blocks[0][0]):]
 
-    @cached_property
+    @property
     def main_values(self) -> np.ndarray:
-        if len(self.blocks) == 1:
-            return np.empty((0, self.dimension))
-        return np.concatenate([v for _, v in self.blocks[1:]], axis=0)
+        return self._view.values[len(self.blocks[0][0]):]
 
     @property
     def coverage_end(self) -> float:
@@ -398,12 +401,6 @@ class PiecewiseTrajectory:
         self._check_domain(ts)
         return _interp_sorted(self._view.times, self._view.values, ts)
 
-    @cached_property
-    def _view(self) -> _StateView:
-        ht, hv = self.blocks[0]
-        return _StateView(self.delay, np.concatenate([ht, self.main_times]),
-                          np.concatenate([hv, self.main_values], axis=0))
-
     def history_segment(self, t: float) -> HistorySegment:
         """The element w_t of C([-r, 0]) sampled on the native nodes in [t-r, t]."""
         t = float(t)
@@ -413,9 +410,16 @@ class PiecewiseTrajectory:
 
     def sigma_norm(self) -> float:
         """Max over the blocks on [0, b] of the sup of node values (inf norm)."""
-        if len(self.main_values) == 0:
-            return 0.0
-        return float(np.max(np.abs(self.main_values)))
+        return float(np.max(np.abs(self.main_values), initial=0.0))
+
+
+def require_comparable(a, b) -> None:
+    """Raise ValueError unless a and b, two problems or two trajectories, share
+    dimension, horizon and impulse times."""
+    if a.dimension != b.dimension:
+        raise ValueError("trajectories have different dimensions")
+    if a.horizon != b.horizon or not np.array_equal(a.impulse_times, b.impulse_times):
+        raise ValueError("trajectories have different impulse structure")
 
 
 def sigma_diff(a: PiecewiseTrajectory, b: PiecewiseTrajectory) -> float:
@@ -424,10 +428,7 @@ def sigma_diff(a: PiecewiseTrajectory, b: PiecewiseTrajectory) -> float:
     Right limits at each impulse time are compared as well, so a jump
     mismatch is picked up even when the left values agree.
     """
-    if a.dimension != b.dimension:
-        raise ValueError("trajectories have different dimensions")
-    if a.horizon != b.horizon or not np.array_equal(a.impulse_times, b.impulse_times):
-        raise ValueError("trajectories have different impulse structure")
+    require_comparable(a, b)
     grid = np.unique(np.concatenate([a.main_times, b.main_times]))
     if len(grid) == 0:
         return 0.0

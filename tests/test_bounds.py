@@ -508,6 +508,27 @@ class TestCheckDependence:
                              rho_gap=float("nan"))
         assert solves == []
 
+    @pytest.mark.parametrize("change, message", [
+        ("dimension", "different dimensions"),
+        ("horizon", "different impulse structure"),
+        ("impulse_times", "different impulse structure"),
+    ])
+    def test_incomparable_pair_raises_before_solving(self, change, message, monkeypatch):
+        entry = get_entry("parameter_family")
+        problem, lip = entry.problem, entry.lipschitz
+        sg = operator_norm_bound(problem.generator, problem.horizon)
+        other = {
+            "dimension": get_entry("windowed_impulse").problem,
+            "horizon": replace(problem, horizon=0.9),
+            "impulse_times": replace(problem, impulse_times=[0.6]),
+        }[change]
+        solves = []
+        solve_mild = bounds.solve_mild
+        monkeypatch.setattr(bounds, "solve_mild", lambda *a: solves.append(a) or solve_mild(*a))
+        with pytest.raises(ValueError, match=message):
+            check_dependence("initial", problem, other, lip, sg, self.DISC, self.CTRL)
+        assert solves == []
+
 
 class TestInstanceValidation:
     def test_negative_f_rejected(self):

@@ -331,6 +331,24 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "sigma_diff" in out and "segment 0" in out
 
+    @pytest.mark.parametrize("name_a, name_b, message", [
+        ("windowed_impulse", "parameter_family", "different dimensions"),
+        ("paper_example", "pure_semigroup", "different impulse structure"),
+        ("parameter_family", "paper_example", "different impulse structure"),
+    ])
+    def test_compare_incomparable_exits_two_before_solving(self, name_a, name_b, message,
+                                                           tmp_path, capsys, monkeypatch):
+        solves = []
+        solve_mild = cli.solve_mild
+        monkeypatch.setattr(cli, "solve_mild", lambda *a: solves.append(a) or solve_mild(*a))
+        paths = []
+        for name in (name_a, name_b):
+            paths.append(tmp_path / f"{name}.yaml")
+            paths[-1].write_text(f"problem: {{name: {name}}}\ndiscretization: {{step: 5.0e-3}}\n")
+        assert run(["compare", "--config", str(paths[0]), "--config-b", str(paths[1])]) == 2
+        assert f"configs are not comparable: trajectories have {message}" in capsys.readouterr().err
+        assert solves == []
+
     def test_usage_error_exit_two(self):
         assert run(["solve"]) == 2
         assert run(["frobnicate"]) == 2

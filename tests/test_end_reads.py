@@ -61,6 +61,22 @@ def test_reads_past_either_end_are_the_end_values():
             assert traj.eval(end).tobytes() == traj.blocks[-1][1][-1].tobytes()
 
 
+def test_main_arrays_are_the_main_blocks_in_order():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        full = random_trajectory(rng, int(rng.integers(1, 3)))
+        n = full.dimension
+        history_only = PiecewiseTrajectory(n, full.delay, full.horizon, full.impulse_times,
+                                           full.blocks[:1], np.zeros((0, n)))
+        assert history_only.main_times.shape == (0,)
+        assert history_only.main_values.shape == (0, n)
+        for traj in prefixes(full):
+            main = traj.blocks[1:]
+            assert traj.main_times.tobytes() == np.concatenate([t for t, _ in main]).tobytes()
+            assert traj.main_values.shape == (len(traj.main_times), n)
+            assert traj.main_values.tobytes() == np.concatenate([v for _, v in main]).tobytes()
+
+
 def test_read_on_a_negative_zero_sample_keeps_its_sign():
     hist = (np.array([-1.0, -0.5, 0.0]), np.array([[1.0], [-0.0], [2.0]]))
     main = (np.array([0.0, HORIZON]), np.array([[2.0], [3.0]]))

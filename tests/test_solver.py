@@ -18,6 +18,9 @@ from impulsedde import (
     volterra_term,
     window_integral,
 )
+from impulsedde.model import as_state
+from impulsedde.solver import _Duhamel, _integrate_G, _mild_map
+from impulsedde.trajectory import _StateView
 
 DISC = Discretization(step=2e-3)
 CTRL = PicardControl()
@@ -52,6 +55,42 @@ def flat_trajectory(value=1.0, horizon=2.0, impulse_times=(), n_nodes=201):
         blocks.append((sub, np.full((len(sub), 1), float(value))))
     rl = np.full((len(impulse_times), 1), float(value))
     return PiecewiseTrajectory(1, 1.0, horizon, list(impulse_times), tuple(blocks), rl)
+
+
+def two_impulse_window():
+    """windowed_impulse with impulses at 0.4 and 0.7, each fed by its own window."""
+    problem = get_entry("windowed_impulse").problem
+    return replace(problem, jump_maps=problem.jump_maps * 2, impulse_times=[0.4, 0.7],
+                   theta_offsets=[0.1, 0.05], tau_offsets=[0.3, 0.25])
+
+
+def per_block_residual(problem, traj):
+    """mild_residual refined block by block: each main block's nodes and midpoints,
+    concatenated, with the defect read at the stored nodes."""
+    n = problem.dimension
+    rts, rvs, natives = [], [], []
+    for bt, bv in traj.blocks[1:]:
+        rt = np.empty(2 * len(bt) - 1)
+        rt[0::2], rt[1::2] = bt, 0.5 * (bt[:-1] + bt[1:])
+        rv = np.empty((len(rt), n))
+        rv[0::2], rv[1::2] = bv, 0.5 * (bv[:-1] + bv[1:])
+        native = np.zeros(len(rt), dtype=bool)
+        native[0::2] = True
+        rts.append(rt)
+        rvs.append(rv)
+        natives.append(native)
+    sigma, w_ref = np.concatenate(rts), np.concatenate(rvs, axis=0)
+    ht, hv = traj.blocks[0]
+    view = _StateView(problem.delay, np.concatenate([ht, sigma]),
+                      np.concatenate([hv, w_ref], axis=0))
+    x0 = np.zeros((len(sigma), n))
+    x0[0] = hv[-1]
+    for k in range(1, problem.num_impulses + 1):
+        tk = float(problem.impulse_times[k - 1])
+        wI = as_state(problem.jump_maps[k - 1](_integrate_G(problem, view, k)), n)
+        x0[np.searchsorted(sigma, tk, side="right") - 1] += wI
+    rhs = _mild_map(problem, view, sigma, w_ref, _Duhamel(problem.generator, sigma), x0)
+    return float(np.max(np.max(np.abs(w_ref - rhs), axis=1)[np.concatenate(natives)]))
 
 
 def steps_problem(horizon=2.0):
@@ -144,6 +183,17 @@ class TestJumpValue:
             jump_maps=(lambda x: 0.0 * x,),
         )
         assert jump_value(problem, flat_trajectory(impulse_times=(0.9,)), 1)[0] == 0.0
+
+    @pytest.mark.parametrize("impulses", [True, False], ids=["one-impulse", "no-impulse"])
+    @pytest.mark.parametrize("past", [False, True], ids=["k=0", "k=m+1"])
+    def test_index_out_of_range_names_the_range(self, impulses, past):
+        # the index is checked by the window before any jump map is looked up
+        problem = constant_problem(impulses=impulses)
+        m = problem.num_impulses
+        traj = flat_trajectory(impulse_times=tuple(problem.impulse_times))
+        k = m + 1 if past else 0
+        with pytest.raises(IndexError, match=rf"^impulse index {k} out of range 1\.\.{m}$"):
+            jump_value(problem, traj, k)
 
 
 class TestSolveSegment:
@@ -344,6 +394,18 @@ class TestMildResidual:
                                   np.zeros((0, 1)))
         assert mild_residual(problem, bad) >= 0.05
 
+    @pytest.mark.parametrize("step", [5e-3, 1e-3])
+    @pytest.mark.parametrize("name", ["paper_example", "windowed_impulse", "parameter_family",
+                                      "two_impulse_window"])
+    def test_matches_the_per_block_refinement(self, name, step, solve_cache):
+        # the one strided pass puts no midpoint between the two copies of each t_k
+        if name == "two_impulse_window":
+            problem = two_impulse_window()
+            traj, _ = solve_mild(problem, Discretization(step=step), CTRL)
+        else:
+            problem, _, traj, _ = solve_cache(name, step=step)
+        assert mild_residual(problem, traj).hex() == per_block_residual(problem, traj).hex()
+
     def test_residual_second_order(self):
         problem = get_entry("paper_example").problem
         res = {}
@@ -368,6 +430,21 @@ class TestControls:
             PicardControl(max_iterations=0)
         with pytest.raises(ValueError):
             PicardControl(initial_iterate="noise")
+
+    @pytest.mark.parametrize("control, field, value", [
+        (PicardControl, "max_iterations", 2.5), (PicardControl, "max_iterations", 3.0),
+        (PicardControl, "max_iterations", True), (PicardControl, "tolerance", True),
+        (Discretization, "step", True),
+    ])
+    def test_rejects_values_it_cannot_use(self, control, field, value):
+        # a float count used to fail mid-solve in range(), and True was taken as 1
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            control(**{field: value})
+
+    def test_numpy_integer_iterations_are_valid(self):
+        control = PicardControl(max_iterations=np.int64(50))
+        _, report = solve_mild(steps_problem(), Discretization(step=5e-2), control)
+        assert max(report.iterations_per_segment) <= 50
 
     @pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
     def test_picard_tolerance_must_be_finite(self, tolerance):
