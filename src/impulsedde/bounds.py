@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .model import ImpulsiveProblem, LipschitzData, as_state, batched, node_rows
-from .quadrature import cumtrap, segment_grid, volterra_tri, window_nodes
+from .quadrature import cumtrap, segment_grid, volterra_tri, window_nodes, window_sum
 from .semigroup import SemigroupBound
 from .solver import Discretization, PicardControl, solve_mild
 from .trajectory import _StateView, require_comparable, sigma_diff
@@ -389,7 +389,8 @@ def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBo
     hist_t = segment_grid(-problem.delay, 0.0, disc.step)
     varsigma_norm = float(np.max(np.abs(problem.history_values(hist_t))))
 
-    zero = _StateView(problem.delay, np.array([-problem.delay, problem.horizon]), np.zeros((2, n)))
+    # the zero state on the instance grid: each jump window sums G on its nodes
+    zero = _StateView(problem.delay, np.insert(xs, 0, -problem.delay), np.zeros((len(xs) + 1, n)))
     windows = zero.windows(xs)
     z0 = volterra_tri(problem, xs, windows)
     v0 = np.max(np.abs(node_rows(problem.V, n, xs, windows, z0)), axis=1)
@@ -397,13 +398,8 @@ def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBo
 
     Q = 0.0
     for k in range(1, problem.num_impulses + 1):
-        lo, hi = problem.jump_window(k)
-        if hi > lo:
-            times = window_nodes(xs, lo, hi)
-            wI = np.trapezoid(node_rows(problem.G, n, times, zero.windows(times)), times, axis=0)
-        else:
-            wI = np.zeros(n)
-        Q += M * float(np.max(np.abs(as_state(problem.jump_maps[k - 1](wI), n))))
+        wI = as_state(problem.jump_maps[k - 1](window_sum(problem, zero, k)), n)
+        Q += M * float(np.max(np.abs(wI)))
 
     prefactor = M * varsigma_norm + H + Q
     return prefactor * _growth_tail(inst)

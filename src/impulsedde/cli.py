@@ -11,8 +11,9 @@ Configuration is a YAML file whose sections mirror RunConfig:
     picard: {tolerance: 1.0e-10, max_iterations: 200, initial_iterate: constant}
 
 Unknown keys anywhere in the file, and values not of the key's type, are hard
-errors. Exit codes: 0 success/PASS, 2 usage or config error, 3 certificate
-FAIL, 4 solver non-convergence, 5 inequality violation beyond tolerance.
+errors. Exit codes: 0 success/PASS, 2 usage or config error (an unwritable
+output path too), 3 certificate FAIL, 4 solver non-convergence, 5 inequality
+violation beyond tolerance.
 """
 
 from __future__ import annotations
@@ -171,6 +172,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_lines(path: str, lines) -> None:
+    try:  # an unwritable path is a config error
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_trajectory_csv(path: str, traj: PiecewiseTrajectory):
     n = traj.dimension
     header = "t,segment_index,is_right_limit," + ",".join(f"w_{i}" for i in range(n))
@@ -182,8 +191,7 @@ def write_trajectory_csv(path: str, traj: PiecewiseTrajectory):
         for i, (t, v) in enumerate(zip(bt, bv)):
             is_right = 1 if (j > 0 and i == 0) else 0
             lines.append(",".join([_fmt(t), str(j), str(is_right)] + [_fmt(x) for x in v]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_trajectory_csv(path: str):
@@ -325,8 +333,7 @@ def _cmd_inequality(samples: int, seed: int, out: str | None, step: float) -> in
                  "instance_id,t_max_violation,max_violation,num_impulses,bound_at_horizon"]
         for idx, t, v, m, bh in rows:
             lines.append(f"{idx},{_fmt(t)},{_fmt(v)},{m},{_fmt(bh)}")
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(out, lines)
         print(f"report written to {out}")
     return EXIT_OK if worst <= tolerance else EXIT_VIOLATION
 

@@ -1,5 +1,6 @@
 """Composite trapezoid rule shared by the solver and the bounds: cumulative
-trapezoid, breakpoint grids, jump-window node sets and the Volterra sums of U.
+trapezoid, breakpoint grids, jump-window node sets, the G-window sum of every
+jump (solve, residual and a-priori bound) and the Volterra sums of U.
 
 The Volterra sums read U's form, probed once per problem (`model.probe_t`,
 cached as the problem's `_u_form`). For a U that depends on its outer time t
@@ -17,8 +18,9 @@ import math
 import numpy as np
 
 from .model import as_state, node_rows, t_rows
+from .trajectory import _interp_sorted
 
-__all__ = ["cumtrap", "segment_grid", "window_nodes", "volterra_rect", "volterra_tri"]
+__all__ = ["cumtrap", "segment_grid", "window_nodes", "window_sum", "volterra_rect", "volterra_tri"]
 
 
 def cumtrap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -51,6 +53,22 @@ def window_nodes(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
     i0 = np.searchsorted(nodes, lo, side="right")
     i1 = np.searchsorted(nodes, hi, side="left")
     return np.concatenate([[lo], nodes[i0:i1], [hi]])
+
+
+def window_sum(problem, view, k: int) -> np.ndarray:
+    """Trapezoid of G(s, w_s) over the jump window of impulse k on `window_nodes`
+    of the `_StateView` `view`; exactly zero when the window has zero length."""
+    lo, hi = problem.jump_window(k)
+    n = problem.dimension
+    if hi == lo:
+        return np.zeros(n)
+    times = window_nodes(view.times, lo, hi)
+    ends = _interp_sorted(view.times, view.values, times)
+    # at an exact impulse time the integrand's one-sided value is the right limit
+    for i in np.flatnonzero(np.isin(times, problem.impulse_times) & (times < hi)):
+        ends[i] = view.eval_right(float(times[i]))
+    vals = node_rows(problem.G, n, times, view.windows(times, ends))
+    return np.trapezoid(vals, times, axis=0)
 
 
 def _sequential_sum(weights, rows, skip):

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ImpulsiveProblem, as_state, node_rows, validate
-from .quadrature import segment_grid, volterra_rect, volterra_tri, window_nodes
+from .quadrature import segment_grid, volterra_rect, volterra_tri, window_sum
 from .semigroup import apply_stack, propagator_stack
-from .trajectory import PiecewiseTrajectory, _StateView, _interp_sorted
+from .trajectory import PiecewiseTrajectory, _StateView
 
 __all__ = [
     "Discretization",
@@ -94,27 +94,13 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 # public quadrature operations
 
-def _integrate_G(problem: ImpulsiveProblem, view: _StateView, k: int) -> np.ndarray:
-    lo, hi = problem.jump_window(k)
-    n = problem.dimension
-    if hi == lo:
-        return np.zeros(n)
-    times = window_nodes(view.times, lo, hi)
-    ends = _interp_sorted(view.times, view.values, times)
-    # at an exact impulse time the integrand's one-sided value is the right limit
-    for i in np.flatnonzero(np.isin(times, problem.impulse_times) & (times < hi)):
-        ends[i] = view.eval_right(float(times[i]))
-    vals = node_rows(problem.G, n, times, view.windows(times, ends))
-    return np.trapezoid(vals, times, axis=0)
-
-
 def window_integral(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, k: int) -> np.ndarray:
     """int of G(s, w_s) over [t_k - tau_k, t_k - theta_k]; exactly zero when the
     window has zero length."""
     lo, hi = problem.jump_window(k)
     if traj.coverage_end < hi - 1e-12:
         raise ValueError(f"trajectory covers only up to {traj.coverage_end}, window needs {hi}")
-    return _integrate_G(problem, traj._view, k)
+    return window_sum(problem, traj._view, k)
 
 
 def jump_value(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, k: int) -> np.ndarray:
@@ -184,11 +170,12 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
                   control: PicardControl):
     """Fixed point of the mild map on [t_k, t_{k+1}] given the solved prefix.
 
-    Returns (node times, node values, iteration count). The iterate history
-    reads use the previous sweep (full-step Picard); iteration stops once the
-    successive sup-norm gap falls below the tolerance (it is driven further,
-    toward the roundoff floor, so the limit does not depend on the initial
-    iterate).
+    The prefix ends at t_k^- (at 0 for k = 0), and values[0] is w(t_k^+): its end
+    value plus `jump_value` at t_k when k >= 1. Returns (node times, node values,
+    iteration count). The iterate history reads use the previous sweep
+    (full-step Picard); iteration stops once the successive sup-norm gap falls
+    below the tolerance (it is driven further, toward the roundoff floor, so the
+    limit does not depend on the initial iterate).
     """
     n = problem.dimension
     m = problem.num_impulses
@@ -199,12 +186,9 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     if abs(prefix.coverage_end - t_start) > 1e-12 * (1.0 + problem.horizon):
         raise ValueError(f"prefix covers up to {prefix.coverage_end}, segment starts at {t_start}")
 
-    if k == 0:
-        w_plus = prefix.blocks[0][1][-1]
-    else:
-        if len(prefix.right_limits) < k:
-            raise ValueError(f"prefix lacks the right limit at t_{k}")
-        w_plus = prefix.right_limits[k - 1]
+    w_plus = prefix.blocks[-1][1][-1]
+    if k >= 1:
+        w_plus = w_plus + jump_value(problem, prefix, k)
 
     specials = problem.jump_window(k + 1) if k + 1 <= m else ()
     times = segment_grid(t_start, t_end, disc.step, specials)
@@ -257,8 +241,9 @@ def solve_mild(problem: ImpulsiveProblem,
     """Solve the full impulsive problem on [-r, b].
 
     History is sampled at the discretization step, then each segment is solved
-    in turn; the integral jump is applied at every impulse and the assembled
-    trajectory is checked against the defining identity (final_residual).
+    in turn from the trajectory so far (`solve_segment` applies the integral
+    jump at its start); the assembled trajectory is checked against the
+    defining identity (final_residual).
     """
     violations = validate(problem)
     if violations:
@@ -266,30 +251,23 @@ def solve_mild(problem: ImpulsiveProblem,
     n = problem.dimension
     r, b = problem.delay, problem.horizon
     hist_t = segment_grid(-r, 0.0, disc.step)
-    hist_v = problem.history_values(hist_t)
+    blocks, iterations, m = [(hist_t, problem.history_values(hist_t))], [], problem.num_impulses
 
-    blocks = [(hist_t, hist_v)]
-    right_limits = np.zeros((0, n))
-    jumps = []
-    iterations = []
-    m = problem.num_impulses
+    def trajectory():  # each later block starts at its right limit
+        return PiecewiseTrajectory(n, r, b, problem.impulse_times, tuple(blocks),
+                                   [v[0] for _, v in blocks[2:]])
+
     for k in range(m + 1):
-        prefix = PiecewiseTrajectory(n, r, b, problem.impulse_times, tuple(blocks), right_limits)
-        times, values, iters = solve_segment(problem, prefix, k, disc, control)
+        times, values, iters = solve_segment(problem, trajectory(), k, disc, control)
         blocks.append((times, values))
         iterations.append(iters)
-        if k < m:
-            current = PiecewiseTrajectory(n, r, b, problem.impulse_times, tuple(blocks), right_limits)
-            w_left = values[-1]
-            w_right = w_left + jump_value(problem, current, k + 1)
-            jumps.append(w_right - w_left)  # recorded as the stored difference
-            right_limits = np.vstack([right_limits, w_right[None, :]])
 
-    traj = PiecewiseTrajectory(n, r, b, problem.impulse_times, tuple(blocks), right_limits)
+    traj = trajectory()
+    jumps = tuple(v[0] - u[-1] for (_, u), (_, v) in zip(blocks[1:], blocks[2:]))
     residual = mild_residual(problem, traj)
     if not math.isfinite(residual):
         raise ConvergenceError(m, iterations[-1], residual, f"mild residual {residual} is not finite")
-    report = SolveReport(tuple(iterations), residual, tuple(jumps))
+    report = SolveReport(tuple(iterations), residual, jumps)
     return traj, report
 
 
@@ -328,7 +306,7 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory) -> float
     x0[0] = hv[-1]
     for k in range(1, problem.num_impulses + 1):
         tk = float(problem.impulse_times[k - 1])
-        wI = as_state(problem.jump_maps[k - 1](_integrate_G(problem, view, k)), n)
+        wI = as_state(problem.jump_maps[k - 1](window_sum(problem, view, k)), n)
         x0[np.searchsorted(sigma, tk, side="right") - 1] += wI
     rhs = _mild_map(problem, view, sigma, w_ref, _Duhamel(problem.generator, sigma), x0)
 

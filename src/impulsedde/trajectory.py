@@ -287,11 +287,11 @@ class PiecewiseTrajectory:
 
     blocks[0] is the history block on [-r, 0]; blocks[j] for j >= 1 covers
     [t_{j-1}, t_j] with t_0 = 0 and the final block ending at the horizon.
-    A partially built trajectory (prefix of the full block list) is allowed;
-    `complete` tells the two apart. right_limits[k] is w(t_k^+) and equals the
-    first node value of block k+2 once that block exists. `_view` lays the
-    blocks end to end as one node array; `main_times` and `main_values` are its
-    part past the history block.
+    A partially built trajectory (a prefix of the full block list) ends at t_k^-
+    and records right limits only for the impulses strictly inside it;
+    `complete` tells the two apart. right_limits[k] is w(t_k^+), the first node
+    value of block k+2. `_view` lays the blocks end to end as one node array;
+    `main_times` and `main_values` are its part past the history block.
     """
 
     dimension: int
@@ -326,8 +326,7 @@ class PiecewiseTrajectory:
         nmain = len(blocks) - 1
         if nmain > m + 1:
             raise ValueError("more main blocks than the impulse schedule allows")
-        njump = rl.shape[0]
-        if njump not in (max(nmain - 1, 0), min(nmain, m)):
+        if rl.shape[0] != max(nmain - 1, 0):
             raise ValueError("right_limits length inconsistent with block count")
         for j in range(1, len(blocks)):
             bt, bv = blocks[j]
@@ -391,9 +390,6 @@ class PiecewiseTrajectory:
         if t >= self.horizon:
             raise ValueError(f"right limit undefined at t={t} >= horizon {self.horizon}")
         self._check_domain(t)
-        if t == self.coverage_end and 0 < len(self.right_limits) == len(self.blocks) - 1:
-            # coverage ends at an impulse whose jump is already recorded
-            return self.right_limits[-1].copy()
         return self._view.eval_right(t).copy()
 
     def eval_many(self, ts) -> np.ndarray:

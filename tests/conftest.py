@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from impulsedde import Discretization, PicardControl, get_entry, solve_mild
+from impulsedde import Discretization, PicardControl, PiecewiseTrajectory, get_entry, solve_mild
+
+
+def prefixes(traj):
+    """Every prefix of a trajectory, one per block count: the history alone, then
+    each prefix ending at t_k^- (or at the horizon), with the right limits of the
+    impulses strictly inside it."""
+    for nmain in range(len(traj.blocks)):
+        yield PiecewiseTrajectory(traj.dimension, traj.delay, traj.horizon, traj.impulse_times,
+                                  traj.blocks[: nmain + 1], traj.right_limits[:max(nmain - 1, 0)])
 
 
 @pytest.fixture(scope="session")

@@ -28,8 +28,10 @@ from impulsedde import (
     with_history,
 )
 from impulsedde import bounds
-from impulsedde.bounds import _reduction_instance
-from impulsedde.quadrature import cumtrap, window_nodes
+from impulsedde.bounds import _growth_tail, _reduction_instance
+from impulsedde.model import as_state, node_rows
+from impulsedde.quadrature import cumtrap, segment_grid, volterra_tri, window_nodes
+from impulsedde.trajectory import _StateView
 
 E = float(np.e)
 E2 = float(np.exp(2.0))
@@ -361,6 +363,45 @@ class TestAprioriBound:
         sg = operator_norm_bound(problem.generator, problem.horizon)
         K = apriori_bound(problem, lip, sg)
         assert K == pytest.approx(sg.M * 1.0, rel=1e-12)  # H = Q = 0, ||history|| = 1
+
+    @staticmethod
+    def reference_bound(problem, lip, sg, disc):
+        """apriori_bound with its own Q loop: each jump window's trapezoid of G on
+        the zero state, over window_nodes of the instance grid."""
+        n, M = problem.dimension, sg.M
+        inst = _reduction_instance(problem, lip, sg)
+        xs = inst.grid
+        hist = problem.history_values(segment_grid(-problem.delay, 0.0, disc.step))
+        zero = _StateView(problem.delay, np.array([-problem.delay, problem.horizon]),
+                          np.zeros((2, n)))
+        windows = zero.windows(xs)
+        z0 = volterra_tri(problem, xs, windows)
+        H = M * float(np.trapezoid(np.max(np.abs(node_rows(problem.V, n, xs, windows, z0)),
+                                          axis=1), xs))
+        Q = 0.0
+        for k in range(1, problem.num_impulses + 1):
+            lo, hi = problem.jump_window(k)
+            wI = np.zeros(n)
+            if hi > lo:
+                times = window_nodes(xs, lo, hi)
+                wI = np.trapezoid(node_rows(problem.G, n, times, zero.windows(times)), times,
+                                  axis=0)
+            Q += M * float(np.max(np.abs(as_state(problem.jump_maps[k - 1](wI), n))))
+        return (M * float(np.max(np.abs(hist))) + H + Q) * _growth_tail(inst)
+
+    def test_equals_the_reference_q_loop(self):
+        # the catalog's G is 0 on the zero state, so the s-dependent G is the case
+        # where the window's node set shows
+        window = get_entry("windowed_impulse")
+        s_dependent = replace(window.problem, G=lambda s, w_s: np.array([np.cos(3 * s), 0.1]))
+        cases = [(e.problem, e.lipschitz) for e in build_catalog()]
+        cases.append((s_dependent, window.lipschitz))
+        for problem, lip in cases:
+            sg = operator_norm_bound(problem.generator, problem.horizon)
+            for step in (5e-3, 1e-3):
+                disc = Discretization(step=step)
+                got = apriori_bound(problem, lip, sg, disc)
+                assert got.hex() == self.reference_bound(problem, lip, sg, disc).hex()
 
     def test_dominates_every_certified_catalog_solution(self, solve_cache):
         for entry in build_catalog():

@@ -264,6 +264,13 @@ class TestSolve:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: {name: windowed_impulse}\ndiscretization: {step: 5.0e-3}\n")
+        out = tmp_path / "missing" / "a.csv"
+        assert run(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error: cannot write" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_apriori_with_solve(self, tmp_path, capsys):
@@ -311,6 +318,11 @@ class TestOtherCommands:
         assert lines[1] == "# seed=11"
         assert lines[3] == "instance_id,t_max_violation,max_violation,num_impulses,bound_at_horizon"
         assert len(lines) == 7
+
+    def test_inequality_unwritable_out_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "b.csv"
+        assert run(["inequality", "--samples", "2", "--out", str(out)]) == 2
+        assert "config error: cannot write" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_inequality_without_samples_is_usage_error(self, samples, capsys):

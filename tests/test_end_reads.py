@@ -13,6 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from impulsedde import PiecewiseTrajectory
 
+from conftest import prefixes
+
 HORIZON = 2.0
 
 
@@ -41,14 +43,6 @@ def random_trajectory(rng, n, samples=None):
                                np.reshape(right_limits, (-1, n)))
 
 
-def prefixes(traj):
-    n, m = traj.dimension, len(traj.impulse_times)
-    for nmain in range(1, len(traj.blocks)):
-        for njump in sorted({max(nmain - 1, 0), min(nmain, m)}):
-            yield PiecewiseTrajectory(n, traj.delay, traj.horizon, traj.impulse_times,
-                                      traj.blocks[: nmain + 1], traj.right_limits[:njump])
-
-
 def test_reads_past_either_end_are_the_end_values():
     rng = np.random.default_rng(2024)
     for _ in range(300):
@@ -70,7 +64,7 @@ def test_main_arrays_are_the_main_blocks_in_order():
                                            full.blocks[:1], np.zeros((0, n)))
         assert history_only.main_times.shape == (0,)
         assert history_only.main_values.shape == (0, n)
-        for traj in prefixes(full):
+        for traj in list(prefixes(full))[1:]:  # past the history-only prefix
             main = traj.blocks[1:]
             assert traj.main_times.tobytes() == np.concatenate([t for t, _ in main]).tobytes()
             assert traj.main_values.shape == (len(traj.main_times), n)

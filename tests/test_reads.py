@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from impulsedde import PiecewiseTrajectory
 from impulsedde.trajectory import _EDGE_TOL
 
+from conftest import prefixes
+
 HORIZON = 2.0
 
 
@@ -62,8 +64,6 @@ def ref_eval_right(traj, t):
     if i < 0:
         return mv[0].copy()
     if mt[i] == t:
-        if i + 1 == len(mt) and len(traj.right_limits) == len(traj.blocks) - 1:
-            return traj.right_limits[-1].copy()
         return mv[i].copy()
     if i + 1 >= len(mt):
         return mv[-1].copy()
@@ -127,15 +127,6 @@ def check_reads(traj, rng):
     assert_same_bits(traj.eval_many(inside), ref_eval_many(traj, inside))
     grid = inside[: 4 * (len(inside) // 4)].reshape(4, -1)
     assert_same_bits(traj.eval_many(grid), ref_eval_many(traj, grid))
-
-
-def prefixes(traj):
-    """Every prefix of a trajectory, with and without the jump at its end."""
-    n, m = traj.dimension, len(traj.impulse_times)
-    for nmain in range(len(traj.blocks)):
-        for njump in sorted({max(nmain - 1, 0), min(nmain, m)}):
-            yield PiecewiseTrajectory(n, traj.delay, traj.horizon, traj.impulse_times,
-                                      traj.blocks[: nmain + 1], traj.right_limits[:njump])
 
 
 @st.composite

@@ -19,7 +19,8 @@ from impulsedde import (
     window_integral,
 )
 from impulsedde.model import as_state
-from impulsedde.solver import _Duhamel, _integrate_G, _mild_map
+from impulsedde.quadrature import window_sum
+from impulsedde.solver import _Duhamel, _mild_map
 from impulsedde.trajectory import _StateView
 
 DISC = Discretization(step=2e-3)
@@ -87,7 +88,7 @@ def per_block_residual(problem, traj):
     x0[0] = hv[-1]
     for k in range(1, problem.num_impulses + 1):
         tk = float(problem.impulse_times[k - 1])
-        wI = as_state(problem.jump_maps[k - 1](_integrate_G(problem, view, k)), n)
+        wI = as_state(problem.jump_maps[k - 1](window_sum(problem, view, k)), n)
         x0[np.searchsorted(sigma, tk, side="right") - 1] += wI
     rhs = _mild_map(problem, view, sigma, w_ref, _Duhamel(problem.generator, sigma), x0)
     return float(np.max(np.max(np.abs(w_ref - rhs), axis=1)[np.concatenate(natives)]))
@@ -226,6 +227,45 @@ class TestSolveSegment:
         ts = traj.blocks[1][0]
         errs = [abs(traj.eval(float(t))[0] - steps_exact(float(t))) for t in ts[::20]]
         assert max(errs) <= 1e-10
+
+    @pytest.mark.parametrize("make", [lambda: get_entry("windowed_impulse").problem,
+                                      two_impulse_window], ids=["one", "two"])
+    def test_segments_from_prefixes_ending_before_each_jump(self, make):
+        # each prefix ends at t_k^-; solve_segment starts from its end value plus
+        # the jump, and reproduces solve_mild's blocks, right limits and jumps
+        problem = make()
+        n, tk = problem.dimension, problem.impulse_times
+        disc = Discretization(step=5e-3)
+        traj, report = solve_mild(problem, disc, CTRL)
+        blocks, right_limits, jumps = [traj.blocks[0]], [], []
+        for k in range(problem.num_impulses + 1):
+            prefix = PiecewiseTrajectory(n, problem.delay, problem.horizon, tk, tuple(blocks),
+                                         np.reshape(right_limits, (-1, n)))
+            times, values, iters = solve_segment(problem, prefix, k, disc, CTRL)
+            assert iters == report.iterations_per_segment[k]
+            if k >= 1:
+                w_left = blocks[-1][1][-1]
+                assert values[0].tobytes() == (w_left + jump_value(problem, prefix, k)).tobytes()
+                right_limits.append(values[0])
+                jumps.append(values[0] - w_left)
+            blocks.append((times, values))
+        for (t, v), (want_t, want_v) in zip(blocks, traj.blocks, strict=True):
+            assert t.tobytes() == want_t.tobytes()
+            assert v.tobytes() == want_v.tobytes()
+        assert np.reshape(right_limits, (-1, n)).tobytes() == traj.right_limits.tobytes()
+        assert [j.tobytes() for j in jumps] == [j.tobytes() for j in report.jumps]
+
+    @pytest.mark.parametrize("make", [lambda: get_entry("windowed_impulse").problem,
+                                      two_impulse_window], ids=["one", "two"])
+    def test_solve_builds_one_trajectory_per_segment(self, make, monkeypatch):
+        # one prefix per segment and the assembled trajectory: m + 2 in all
+        problem = make()
+        m, built = problem.num_impulses, []
+        post_init = PiecewiseTrajectory.__post_init__
+        monkeypatch.setattr(PiecewiseTrajectory, "__post_init__",
+                            lambda self: built.append(post_init(self)))
+        solve_mild(problem, Discretization(step=5e-3), CTRL)
+        assert len(built) == m + 2
 
     def test_segment_index_bounds(self):
         problem = get_entry("pure_semigroup").problem

@@ -200,6 +200,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1, b2), [[0.5]])
 
+    def test_prefix_ends_before_its_last_jump(self):
+        # a prefix ending at t_1 records no right limit there: w(t_1^+) is the next
+        # segment's to compute
+        hist, b1, _ = make_jump_trajectory().blocks
+        PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1), np.zeros((0, 1)))
+        with pytest.raises(ValueError, match="right_limits length inconsistent"):
+            PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1), [[1.0]])
+
     def test_strictly_increasing_nodes(self):
         hist = (np.array([-1.0, 0.0]), np.zeros((2, 1)))
         b1 = (np.array([0.0, 0.5, 0.5, 1.0]), np.zeros((4, 1)))
