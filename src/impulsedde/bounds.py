@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ImpulsiveProblem, LipschitzData, as_state, batched, node_rows
-from .quadrature import cumtrap, segment_grid, volterra_tri, window_nodes, window_sum
+from .model import ImpulsiveProblem, LipschitzData, batched, node_rows
+from .quadrature import cumtrap, segment_grid, volterra_tri, window_jump, window_nodes
 from .semigroup import SemigroupBound
 from .solver import Discretization, PicardControl, solve_mild
 from .trajectory import _StateView, require_comparable, sigma_diff
@@ -398,8 +398,7 @@ def apriori_bound(problem: ImpulsiveProblem, lip: LipschitzData, sg: SemigroupBo
 
     Q = 0.0
     for k in range(1, problem.num_impulses + 1):
-        wI = as_state(problem.jump_maps[k - 1](window_sum(problem, zero, k)), n)
-        Q += M * float(np.max(np.abs(wI)))
+        Q += M * float(np.max(np.abs(window_jump(problem, zero, k))))
 
     prefactor = M * varsigma_norm + H + Q
     return prefactor * _growth_tail(inst)

@@ -1,6 +1,6 @@
 """Composite trapezoid rule shared by the solver and the bounds: cumulative
-trapezoid, breakpoint grids, jump-window node sets, the G-window sum of every
-jump (solve, residual and a-priori bound) and the Volterra sums of U.
+trapezoid, breakpoint grids, jump-window node sets, the G-window sum and jump
+of every impulse (solve, residual and a-priori bound) and the Volterra sums of U.
 
 The Volterra sums read U's form, probed once per problem (`model.probe_t`,
 cached as the problem's `_u_form`). For a U that depends on its outer time t
@@ -20,7 +20,8 @@ import numpy as np
 from .model import as_state, node_rows, t_rows
 from .trajectory import _interp_sorted
 
-__all__ = ["cumtrap", "segment_grid", "window_nodes", "window_sum", "volterra_rect", "volterra_tri"]
+__all__ = ["cumtrap", "segment_grid", "window_nodes", "window_sum", "window_jump", "volterra_rect",
+           "volterra_tri"]
 
 
 def cumtrap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -57,8 +58,11 @@ def window_nodes(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def window_sum(problem, view, k: int) -> np.ndarray:
     """Trapezoid of G(s, w_s) over the jump window of impulse k on `window_nodes`
-    of the `_StateView` `view`; exactly zero when the window has zero length."""
+    of the `_StateView` `view`, which must cover the window; exactly zero when
+    the window has zero length."""
     lo, hi = problem.jump_window(k)
+    if view.times[-1] < hi - 1e-12:
+        raise ValueError(f"trajectory covers only up to {float(view.times[-1])}, window needs {hi}")
     n = problem.dimension
     if hi == lo:
         return np.zeros(n)
@@ -69,6 +73,12 @@ def window_sum(problem, view, k: int) -> np.ndarray:
         ends[i] = view.eval_right(float(times[i]))
     vals = node_rows(problem.G, n, times, view.windows(times, ends))
     return np.trapezoid(vals, times, axis=0)
+
+
+def window_jump(problem, view, k: int) -> np.ndarray:
+    """I_k of `window_sum`: the state jump added at t_k."""
+    integral = window_sum(problem, view, k)  # checks k before I_k is looked up
+    return as_state(problem.jump_maps[k - 1](integral), problem.dimension)
 
 
 def _sequential_sum(weights, rows, skip):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ImpulsiveProblem, as_state, node_rows, validate
-from .quadrature import segment_grid, volterra_rect, volterra_tri, window_sum
+from .model import ImpulsiveProblem, node_rows, validate
+from .quadrature import segment_grid, volterra_rect, volterra_tri, window_jump, window_sum
 from .semigroup import apply_stack, propagator_stack
 from .trajectory import PiecewiseTrajectory, _StateView
 
@@ -97,16 +97,12 @@ class ConvergenceError(RuntimeError):
 def window_integral(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, k: int) -> np.ndarray:
     """int of G(s, w_s) over [t_k - tau_k, t_k - theta_k]; exactly zero when the
     window has zero length."""
-    lo, hi = problem.jump_window(k)
-    if traj.coverage_end < hi - 1e-12:
-        raise ValueError(f"trajectory covers only up to {traj.coverage_end}, window needs {hi}")
     return window_sum(problem, traj._view, k)
 
 
 def jump_value(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, k: int) -> np.ndarray:
     """I_k applied to the window integral: the state jump added at t_k."""
-    integral = window_integral(problem, traj, k)  # checks k before I_k is looked up
-    return as_state(problem.jump_maps[k - 1](integral), problem.dimension)
+    return window_jump(problem, traj._view, k)
 
 
 def volterra_term(problem: ImpulsiveProblem, traj: PiecewiseTrajectory, t: float) -> np.ndarray:
@@ -253,9 +249,8 @@ def solve_mild(problem: ImpulsiveProblem,
     hist_t = segment_grid(-r, 0.0, disc.step)
     blocks, iterations, m = [(hist_t, problem.history_values(hist_t))], [], problem.num_impulses
 
-    def trajectory():  # each later block starts at its right limit
-        return PiecewiseTrajectory(n, r, b, problem.impulse_times, tuple(blocks),
-                                   [v[0] for _, v in blocks[2:]])
+    def trajectory():
+        return PiecewiseTrajectory(n, r, b, problem.impulse_times, tuple(blocks))
 
     for k in range(m + 1):
         times, values, iters = solve_segment(problem, trajectory(), k, disc, control)
@@ -306,8 +301,7 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory) -> float
     x0[0] = hv[-1]
     for k in range(1, problem.num_impulses + 1):
         tk = float(problem.impulse_times[k - 1])
-        wI = as_state(problem.jump_maps[k - 1](window_sum(problem, view, k)), n)
-        x0[np.searchsorted(sigma, tk, side="right") - 1] += wI
+        x0[np.searchsorted(sigma, tk, side="right") - 1] += window_jump(problem, view, k)
     rhs = _mild_map(problem, view, sigma, w_ref, _Duhamel(problem.generator, sigma), x0)
 
     defect = np.max(np.abs(w_ref - rhs), axis=1)

@@ -1,10 +1,9 @@
 """Piecewise left-continuous trajectories on [-r, b] and delayed-state segments.
 
 A trajectory is stored as node blocks separated by the impulse schedule. Values
-are left-continuous at impulse times; the post-jump value at each t_k is kept
-separately and doubles as the first node of the following block. The delayed
-state w_t is a `HistorySegment`, one row of the `_Windows` that read the
-windows of many times together.
+are left-continuous at impulse times; the post-jump value at each t_k is the
+first node of the following block. The delayed state w_t is a `HistorySegment`,
+one row of the `_Windows` that read the windows of many times together.
 """
 
 from __future__ import annotations
@@ -288,9 +287,9 @@ class PiecewiseTrajectory:
     blocks[0] is the history block on [-r, 0]; blocks[j] for j >= 1 covers
     [t_{j-1}, t_j] with t_0 = 0 and the final block ending at the horizon.
     A partially built trajectory (a prefix of the full block list) ends at t_k^-
-    and records right limits only for the impulses strictly inside it;
-    `complete` tells the two apart. right_limits[k] is w(t_k^+), the first node
-    value of block k+2. `_view` lays the blocks end to end as one node array;
+    and holds right limits only for the impulses strictly inside it; `complete`
+    tells the two apart. right_limits[k] is w(t_k^+), the first node value of
+    block k+2. `_view` lays the blocks end to end as one node array;
     `main_times` and `main_values` are its part past the history block.
     """
 
@@ -299,7 +298,6 @@ class PiecewiseTrajectory:
     horizon: float
     impulse_times: np.ndarray
     blocks: tuple
-    right_limits: np.ndarray
 
     def __post_init__(self):
         n = int(self.dimension)
@@ -312,8 +310,6 @@ class PiecewiseTrajectory:
         object.__setattr__(self, "horizon", float(self.horizon))
         blocks = tuple((_as_nodes(t, v, n)) for t, v in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        rl = np.asarray(self.right_limits, dtype=float).reshape(-1, n)
-        object.__setattr__(self, "right_limits", np.ascontiguousarray(rl))
 
         if len(blocks) < 1:
             raise ValueError("a trajectory needs at least the history block")
@@ -323,11 +319,8 @@ class PiecewiseTrajectory:
         m = len(tk)
         if np.any(tk <= 0.0) or np.any(tk >= self.horizon) or np.any(np.diff(tk) <= 0.0):
             raise ValueError("impulse times must be strictly increasing inside (0, horizon)")
-        nmain = len(blocks) - 1
-        if nmain > m + 1:
+        if len(blocks) > m + 2:
             raise ValueError("more main blocks than the impulse schedule allows")
-        if rl.shape[0] != max(nmain - 1, 0):
-            raise ValueError("right_limits length inconsistent with block count")
         for j in range(1, len(blocks)):
             bt, bv = blocks[j]
             start = 0.0 if j == 1 else tk[j - 2]
@@ -336,13 +329,9 @@ class PiecewiseTrajectory:
             end = self.horizon if j == m + 1 else tk[j - 1]
             if bt[-1] != end:
                 raise ValueError(f"block {j} must end at {end}, got {bt[-1]}")
-            if j == 1:
-                # no impulse at 0: the shared node must agree bit-exactly
-                if not np.array_equal(blocks[0][1][-1], bv[0]):
-                    raise ValueError("history and first block disagree at t = 0")
-            else:
-                if not np.array_equal(rl[j - 2], bv[0]):
-                    raise ValueError(f"block {j} first node must carry right_limits[{j - 2}]")
+            # no impulse at 0: the shared node must agree bit-exactly
+            if j == 1 and not np.array_equal(blocks[0][1][-1], bv[0]):
+                raise ValueError("history and first block disagree at t = 0")
 
     # -- the one flat node array: history then main nodes ---------------------
 
@@ -358,6 +347,11 @@ class PiecewiseTrajectory:
     @property
     def main_values(self) -> np.ndarray:
         return self._view.values[len(self.blocks[0][0]):]
+
+    @property
+    def right_limits(self) -> np.ndarray:
+        """(m', n): w(t_k^+) for each impulse strictly inside the coverage."""
+        return np.array([v[0] for _, v in self.blocks[2:]]).reshape(-1, self.dimension)
 
     @property
     def coverage_end(self) -> float:
@@ -384,11 +378,12 @@ class PiecewiseTrajectory:
     def eval_right(self, t: float) -> np.ndarray:
         """Right limit w(t^+); differs from eval only at impulse times.
 
-        Defined on [-r, horizon): there is no right limit at the horizon.
+        Defined on [-r, coverage_end): there is none at the horizon, and a prefix
+        ending at t_k does not hold w(t_k^+).
         """
         t = float(t)
-        if t >= self.horizon:
-            raise ValueError(f"right limit undefined at t={t} >= horizon {self.horizon}")
+        if t >= self.coverage_end:
+            raise ValueError(f"right limit undefined at t={t} >= coverage end {self.coverage_end}")
         self._check_domain(t)
         return self._view.eval_right(t).copy()
 
@@ -421,16 +416,12 @@ def require_comparable(a, b) -> None:
 def sigma_diff(a: PiecewiseTrajectory, b: PiecewiseTrajectory) -> float:
     """Sigma norm of a - b on the union of the two node grids.
 
-    Right limits at each impulse time are compared as well, so a jump
-    mismatch is picked up even when the left values agree.
+    The right limits are compared as well, so a jump mismatch is picked up
+    even when the left values agree.
     """
     require_comparable(a, b)
+    if a.coverage_end != b.coverage_end:
+        raise ValueError(f"trajectories cover up to {a.coverage_end} and {b.coverage_end}")
     grid = np.unique(np.concatenate([a.main_times, b.main_times]))
-    if len(grid) == 0:
-        return 0.0
-    gap = float(np.max(np.abs(a.eval_many(grid) - b.eval_many(grid))))
-    for tk in a.impulse_times:
-        tk = float(tk)
-        if tk <= min(a.coverage_end, b.coverage_end):
-            gap = max(gap, float(np.max(np.abs(a.eval_right(tk) - b.eval_right(tk)))))
-    return gap
+    diff = np.concatenate([a.eval_many(grid) - b.eval_many(grid), a.right_limits - b.right_limits])
+    return float(np.max(np.abs(diff), initial=0.0))

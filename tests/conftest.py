@@ -6,11 +6,10 @@ from impulsedde import Discretization, PicardControl, PiecewiseTrajectory, get_e
 
 def prefixes(traj):
     """Every prefix of a trajectory, one per block count: the history alone, then
-    each prefix ending at t_k^- (or at the horizon), with the right limits of the
-    impulses strictly inside it."""
+    each prefix ending at t_k^- (or at the horizon)."""
     for nmain in range(len(traj.blocks)):
         yield PiecewiseTrajectory(traj.dimension, traj.delay, traj.horizon, traj.impulse_times,
-                                  traj.blocks[: nmain + 1], traj.right_limits[:max(nmain - 1, 0)])
+                                  traj.blocks[: nmain + 1])
 
 
 @pytest.fixture(scope="session")

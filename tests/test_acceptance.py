@@ -321,8 +321,7 @@ def test_criterion_10_residual_consistency():
     bt, bv = traj.blocks[1]
     corrupted = bv.copy()
     corrupted[bt >= 1.0] += 0.1
-    bad = PiecewiseTrajectory(1, 1.0, 2.0, [], (traj.blocks[0], (bt, corrupted)),
-                              np.zeros((0, 1)))
+    bad = PiecewiseTrajectory(1, 1.0, 2.0, [], (traj.blocks[0], (bt, corrupted)))
     bad_res = mild_residual(steps, bad)
     ok = bound_ok and bad_res >= 0.05
     report(10, ok, f"res(4e-3)={res[4e-3]:.2e}, res(2e-3)={res[2e-3]:.2e} "

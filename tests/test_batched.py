@@ -82,7 +82,7 @@ def test_windows_rows_equal_scalar_windows(data):
 def test_windows_brackets_settled_in_theta_space(hist_t, hist_v, t):
     hist = (hist_t, np.array(hist_v)[:, None])
     main = (np.array([0.0, HORIZON]), np.array([[hist_v[-1]], [1.0]]))
-    traj = PiecewiseTrajectory(1, 1.5, HORIZON, [], (hist, main), np.zeros((0, 1)))
+    traj = PiecewiseTrajectory(1, 1.5, HORIZON, [], (hist, main))
     ts = np.array([t, 0.5, t])
     windows = traj._view.windows(ts)
     for theta in [float(s - t) for s in hist_t[1:-1]] + [-1.5, -1.0, -0.5, 0.0]:

@@ -30,17 +30,14 @@ def random_trajectory(rng, n, samples=None):
         keep[[0, -1]] = True
         return grid[keep], draw((int(keep.sum()), n))
 
-    blocks, right_limits = [block(-r, 0.0)], []
+    blocks = [block(-r, 0.0)]
     cuts = [0.0] + impulses + [HORIZON]
     for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
         bt, bv = block(a, b)
         if j == 0:
             bv[0] = blocks[0][1][-1]
-        else:
-            right_limits.append(bv[0])
         blocks.append((bt, bv))
-    return PiecewiseTrajectory(n, r, HORIZON, impulses, tuple(blocks),
-                               np.reshape(right_limits, (-1, n)))
+    return PiecewiseTrajectory(n, r, HORIZON, impulses, tuple(blocks))
 
 
 def test_reads_past_either_end_are_the_end_values():
@@ -61,7 +58,7 @@ def test_main_arrays_are_the_main_blocks_in_order():
         full = random_trajectory(rng, int(rng.integers(1, 3)))
         n = full.dimension
         history_only = PiecewiseTrajectory(n, full.delay, full.horizon, full.impulse_times,
-                                           full.blocks[:1], np.zeros((0, n)))
+                                           full.blocks[:1])
         assert history_only.main_times.shape == (0,)
         assert history_only.main_values.shape == (0, n)
         for traj in list(prefixes(full))[1:]:  # past the history-only prefix
@@ -74,7 +71,7 @@ def test_main_arrays_are_the_main_blocks_in_order():
 def test_read_on_a_negative_zero_sample_keeps_its_sign():
     hist = (np.array([-1.0, -0.5, 0.0]), np.array([[1.0], [-0.0], [2.0]]))
     main = (np.array([0.0, HORIZON]), np.array([[2.0], [3.0]]))
-    traj = PiecewiseTrajectory(1, 1.0, HORIZON, [], (hist, main), np.zeros((0, 1)))
+    traj = PiecewiseTrajectory(1, 1.0, HORIZON, [], (hist, main))
     window = traj.history_segment(0.0)
     assert window(-0.5).tobytes() == np.array([-0.0]).tobytes()
     assert window(np.array([-0.5])).tobytes() == np.array([[-0.0]]).tobytes()

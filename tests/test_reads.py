@@ -51,8 +51,8 @@ def ref_eval(traj, t):
 
 def ref_eval_right(traj, t):
     t = float(t)
-    if t >= traj.horizon:
-        raise ValueError("no right limit at the horizon")
+    if t >= traj.coverage_end:
+        raise ValueError("no right limit at the end of coverage")
     traj._check_domain(t)
     if t < 0.0:
         ht, hv = traj.blocks[0]
@@ -143,17 +143,13 @@ def trajectories(draw):
         return bt, rng.uniform(-10.0, 10.0, (len(bt), n))
 
     blocks = [block(-r, 0.0)]
-    right_limits = []
     cuts = [0.0] + impulses + [HORIZON]
     for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
         bt, bv = block(a, b)
         if j == 0:
             bv[0] = blocks[0][1][-1]
-        else:
-            right_limits.append(bv[0])
         blocks.append((bt, bv))
-    return PiecewiseTrajectory(n, r, HORIZON, impulses, tuple(blocks),
-                               np.reshape(right_limits, (-1, n)))
+    return PiecewiseTrajectory(n, r, HORIZON, impulses, tuple(blocks))
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,6 +18,7 @@ from impulsedde import (
     volterra_term,
     window_integral,
 )
+from impulsedde.cli import read_trajectory_csv, write_trajectory_csv
 from impulsedde.model import as_state
 from impulsedde.quadrature import window_sum
 from impulsedde.solver import _Duhamel, _mild_map
@@ -54,8 +55,7 @@ def flat_trajectory(value=1.0, horizon=2.0, impulse_times=(), n_nodes=201):
         sub = ts[(ts >= a) & (ts <= b)]
         sub = np.unique(np.concatenate([[a], sub, [b]]))
         blocks.append((sub, np.full((len(sub), 1), float(value))))
-    rl = np.full((len(impulse_times), 1), float(value))
-    return PiecewiseTrajectory(1, 1.0, horizon, list(impulse_times), tuple(blocks), rl)
+    return PiecewiseTrajectory(1, 1.0, horizon, list(impulse_times), tuple(blocks))
 
 
 def two_impulse_window():
@@ -123,8 +123,7 @@ class TestVolterraTerm:
         problem = constant_problem(U=lambda t, s, w_s: w_s(-1.0))
         hist = (np.array([-1.0, 0.0]), np.ones((2, 1)))
         ts = np.linspace(0.0, 1.0, 101)
-        traj = PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, (ts, (1.0 + ts)[:, None])),
-                                   np.zeros((0, 1)))
+        traj = PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, (ts, (1.0 + ts)[:, None])))
         assert volterra_term(problem, traj, 1.0)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_current_read_on_steps_solution(self):
@@ -132,8 +131,7 @@ class TestVolterraTerm:
         problem = constant_problem(U=lambda t, s, w_s: w_s(0.0))
         hist = (np.array([-1.0, 0.0]), np.ones((2, 1)))
         ts = np.linspace(0.0, 1.0, 101)
-        traj = PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, (ts, (1.0 + ts)[:, None])),
-                                   np.zeros((0, 1)))
+        traj = PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, (ts, (1.0 + ts)[:, None])))
         assert volterra_term(problem, traj, 1.0)[0] == pytest.approx(1.5, abs=1e-10)
 
     def test_domain_error(self):
@@ -205,7 +203,7 @@ class TestSolveSegment:
         ht = np.linspace(-problem.delay, 0.0, nh + 1)
         return PiecewiseTrajectory(
             problem.dimension, problem.delay, problem.horizon, problem.impulse_times,
-            ((ht, problem.history_values(ht)),), np.zeros((0, problem.dimension)),
+            ((ht, problem.history_values(ht)),),
         )
 
     def test_pure_semigroup_segment(self):
@@ -239,8 +237,7 @@ class TestSolveSegment:
         traj, report = solve_mild(problem, disc, CTRL)
         blocks, right_limits, jumps = [traj.blocks[0]], [], []
         for k in range(problem.num_impulses + 1):
-            prefix = PiecewiseTrajectory(n, problem.delay, problem.horizon, tk, tuple(blocks),
-                                         np.reshape(right_limits, (-1, n)))
+            prefix = PiecewiseTrajectory(n, problem.delay, problem.horizon, tk, tuple(blocks))
             times, values, iters = solve_segment(problem, prefix, k, disc, CTRL)
             assert iters == report.iterations_per_segment[k]
             if k >= 1:
@@ -290,12 +287,24 @@ class TestSolveMild:
         errs = [abs(traj.eval(float(t))[0] - steps_exact(float(t))) for t in ts[::10]]
         assert max(errs) <= 1e-6
 
-    def test_jump_bookkeeping_bit_exact(self, solve_cache):
-        problem, _, traj, report = solve_cache("windowed_impulse", step=2e-3)
-        for k in range(1, problem.num_impulses + 1):
-            tk = float(problem.impulse_times[k - 1])
-            delta = traj.eval_right(tk) - traj.eval(tk)
-            assert np.array_equal(delta, report.jumps[k - 1])
+    def test_jump_bookkeeping_bit_exact(self, solve_cache, tmp_path):
+        # each right limit is one stored node: the property, eval_right, the
+        # left value plus the reported jump and the CSV's right-limit row agree
+        two = two_impulse_window()
+        solves = [(two, *solve_mild(two, DISC, CTRL))]
+        for name in ("paper_example", "windowed_impulse", "parameter_family"):
+            problem, _, traj, report = solve_cache(name, step=2e-3)
+            solves.append((problem, traj, report))
+        for problem, traj, report in solves:
+            write_trajectory_csv(tmp_path / "traj.csv", traj)
+            t, _, right, vals = read_trajectory_csv(tmp_path / "traj.csv")
+            assert t[right == 1].tobytes() == problem.impulse_times.tobytes()
+            for k in range(1, problem.num_impulses + 1):
+                tk, want = float(problem.impulse_times[k - 1]), traj.right_limits[k - 1]
+                assert np.array_equal(traj.eval_right(tk) - traj.eval(tk), report.jumps[k - 1])
+                assert traj.eval_right(tk).tobytes() == want.tobytes()
+                assert (traj.eval(tk) + report.jumps[k - 1]).tobytes() == want.tobytes()
+                assert vals[right == 1][k - 1].tobytes() == want.tobytes()
 
     def test_report_shapes(self, solve_cache):
         problem, _, _, report = solve_cache("windowed_impulse", step=2e-3)
@@ -417,8 +426,7 @@ class TestMildResidual:
         problem = get_entry("pure_semigroup").problem
         hist = (np.array([-1.0, 0.0]), np.ones((2, 1)))
         ts = np.linspace(0.0, 2.0, 1001)
-        traj = PiecewiseTrajectory(1, 1.0, 2.0, [], (hist, (ts, np.exp(ts)[:, None])),
-                                   np.zeros((0, 1)))
+        traj = PiecewiseTrajectory(1, 1.0, 2.0, [], (hist, (ts, np.exp(ts)[:, None])))
         assert mild_residual(problem, traj) <= 1e-8
 
     def test_converged_solve_has_small_residual(self, solve_cache):
@@ -430,8 +438,7 @@ class TestMildResidual:
         bt, bv = traj.blocks[1]
         corrupted = bv.copy()
         corrupted[bt >= 1.0] += 0.1
-        bad = PiecewiseTrajectory(1, 1.0, 2.0, [], (traj.blocks[0], (bt, corrupted)),
-                                  np.zeros((0, 1)))
+        bad = PiecewiseTrajectory(1, 1.0, 2.0, [], (traj.blocks[0], (bt, corrupted)))
         assert mild_residual(problem, bad) >= 0.05
 
     @pytest.mark.parametrize("step", [5e-3, 1e-3])

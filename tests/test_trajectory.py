@@ -11,14 +11,14 @@ def make_jump_trajectory():
     b2 = (np.array([1.0, 1.5, 2.0]), np.ones((3, 1)))
     return PiecewiseTrajectory(
         dimension=1, delay=1.0, horizon=2.0, impulse_times=[1.0],
-        blocks=(hist, b1, b2), right_limits=[[1.0]],
+        blocks=(hist, b1, b2),
     )
 
 
 def make_constant(c, horizon=2.0):
     hist = (np.array([-1.0, 0.0]), np.full((2, 1), float(c)))
     b1 = (np.array([0.0, horizon]), np.full((2, 1), float(c)))
-    return PiecewiseTrajectory(1, 1.0, horizon, [], (hist, b1), np.zeros((0, 1)))
+    return PiecewiseTrajectory(1, 1.0, horizon, [], (hist, b1))
 
 
 class TestHistorySegment:
@@ -73,7 +73,7 @@ class TestEval:
     def test_linear_interpolation(self):
         hist = (np.array([-1.0, 0.0]), np.zeros((2, 1)))
         b1 = (np.array([0.0, 1.0]), np.array([[0.0], [2.0]]))
-        traj = PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, b1), np.zeros((0, 1)))
+        traj = PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, b1))
         assert traj.eval(0.5)[0] == pytest.approx(1.0)
 
     def test_eval_right_off_jumps_matches_eval(self):
@@ -93,6 +93,20 @@ class TestEval:
         assert traj.eval(2.0)[0] == 1.0
         with pytest.raises(ValueError):
             traj.eval_right(2.0)
+
+    def test_prefix_holds_no_right_limit_at_its_end(self, solve_cache):
+        # w(t_1^+) is the next segment's to compute: a prefix ending at t_1 = 0.5
+        # raises there instead of answering w(t_1^-), and the history alone at 0
+        problem, _, traj, _ = solve_cache("windowed_impulse", step=5e-3)
+        args = (traj.dimension, traj.delay, traj.horizon, traj.impulse_times)
+        prefix = PiecewiseTrajectory(*args, traj.blocks[:2])
+        assert prefix.coverage_end == float(problem.impulse_times[0]) == 0.5
+        assert prefix.eval(0.5).tobytes() == traj.eval(0.5).tobytes()
+        assert traj.eval_right(0.5).tobytes() == traj.right_limits[0].tobytes()
+        with pytest.raises(ValueError, match="right limit undefined"):
+            prefix.eval_right(0.5)
+        with pytest.raises(ValueError, match="right limit undefined"):
+            PiecewiseTrajectory(*args, traj.blocks[:1]).eval_right(0.0)
 
 
 @pytest.mark.parametrize("read", [
@@ -117,7 +131,7 @@ class TestHistorySegmentOp:
         hist_t = np.linspace(-1.0, 0.0, 11)
         hist_v = np.sin(hist_t)[:, None]
         b1 = (np.array([0.0, 2.0]), np.array([[0.0], [0.0]]))
-        traj = PiecewiseTrajectory(1, 1.0, 2.0, [], ((hist_t, hist_v), b1), np.zeros((0, 1)))
+        traj = PiecewiseTrajectory(1, 1.0, 2.0, [], ((hist_t, hist_v), b1))
         seg = traj.history_segment(0.0)
         assert np.array_equal(seg.theta_grid, hist_t)
         assert np.array_equal(seg.values, hist_v)
@@ -133,7 +147,7 @@ class TestHistorySegmentOp:
         hist = (np.array([-1.0, 0.0]), np.ones((2, 1)))
         ts = np.linspace(0.0, 1.0, 11)
         b1 = (ts, (1.0 + ts)[:, None])
-        traj = PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, b1), np.zeros((0, 1)))
+        traj = PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, b1))
         seg = traj.history_segment(1.0)
         for th in np.linspace(-1.0, 0.0, 21):
             assert seg(float(th))[0] == pytest.approx(1.0 + (1.0 + th), abs=1e-12)
@@ -150,13 +164,13 @@ class TestSigmaNorm:
         hist = (np.array([-1.0, 0.0]), np.zeros((2, 1)))
         b1 = (np.array([0.0, 1.0]), np.array([[0.0], [2.0]]))
         b2 = (np.array([1.0, 2.0]), np.array([[5.0], [1.0]]))
-        traj = PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1, b2), [[5.0]])
+        traj = PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1, b2))
         assert traj.sigma_norm() == 5.0
 
     def test_history_excluded(self):
         hist = (np.array([-1.0, 0.0]), np.array([[9.0], [1.0]]))
         b1 = (np.array([0.0, 2.0]), np.array([[1.0], [1.0]]))
-        traj = PiecewiseTrajectory(1, 1.0, 2.0, [], (hist, b1), np.zeros((0, 1)))
+        traj = PiecewiseTrajectory(1, 1.0, 2.0, [], (hist, b1))
         assert traj.sigma_norm() == 1.0
 
 
@@ -176,14 +190,22 @@ class TestSigmaDiff:
         hist = (np.array([-1.0, -0.5, 0.0]), np.zeros((3, 1)))
         b1 = (np.array([0.0, 0.5, 1.0]), np.zeros((3, 1)))
         b2 = (np.array([1.0, 1.5, 2.0]), np.full((3, 1), 0.25))
-        b = PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1, b2), [[0.25]])
+        b = PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1, b2))
         assert sigma_diff(a, b) == pytest.approx(0.75)
+        # a NaN right limit is a NaN distance, though every left value agrees
+        b2 = (b2[0], np.array([[np.nan], [1.0], [1.0]]))
+        b = PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1, b2))
+        assert np.isnan(sigma_diff(a, b)) and np.isnan(sigma_diff(b, a))
 
     def test_structural_mismatch(self):
         a = make_constant(1.0)
         b = make_jump_trajectory()
         with pytest.raises(ValueError):
             sigma_diff(a, b)
+        # the same schedule, but a prefix ending at t_1 against the whole trajectory
+        prefix = PiecewiseTrajectory(1, 1.0, 2.0, [1.0], b.blocks[:2])
+        with pytest.raises(ValueError, match=r"cover up to 1\.0 and 2\.0"):
+            sigma_diff(prefix, b)
 
 
 class TestConstruction:
@@ -191,25 +213,16 @@ class TestConstruction:
         hist = (np.array([-1.0, 0.0]), np.zeros((2, 1)))
         b1 = (np.array([0.0, 1.0]), np.array([[0.5], [1.0]]))  # disagrees at 0
         with pytest.raises(ValueError):
-            PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, b1), np.zeros((0, 1)))
-
-    def test_first_node_carries_right_limit(self):
-        hist = (np.array([-1.0, 0.0]), np.zeros((2, 1)))
-        b1 = (np.array([0.0, 1.0]), np.zeros((2, 1)))
-        b2 = (np.array([1.0, 2.0]), np.ones((2, 1)))
-        with pytest.raises(ValueError):
-            PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1, b2), [[0.5]])
+            PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, b1))
 
     def test_prefix_ends_before_its_last_jump(self):
         # a prefix ending at t_1 records no right limit there: w(t_1^+) is the next
         # segment's to compute
         hist, b1, _ = make_jump_trajectory().blocks
-        PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1), np.zeros((0, 1)))
-        with pytest.raises(ValueError, match="right_limits length inconsistent"):
-            PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1), [[1.0]])
+        PiecewiseTrajectory(1, 1.0, 2.0, [1.0], (hist, b1))
 
     def test_strictly_increasing_nodes(self):
         hist = (np.array([-1.0, 0.0]), np.zeros((2, 1)))
         b1 = (np.array([0.0, 0.5, 0.5, 1.0]), np.zeros((4, 1)))
         with pytest.raises(ValueError):
-            PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, b1), np.zeros((0, 1)))
+            PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, b1))

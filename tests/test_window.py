@@ -52,17 +52,13 @@ def trajectories(draw):
         return bt, rng.uniform(-10.0, 10.0, (len(bt), n))
 
     blocks = [block(-r, 0.0)]
-    right_limits = []
     cuts = [0.0] + impulses + [HORIZON]
     for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
         bt, bv = block(a, b)
         if j == 0:
             bv[0] = blocks[0][1][-1]
-        else:
-            right_limits.append(bv[0])
         blocks.append((bt, bv))
-    return PiecewiseTrajectory(n, r, HORIZON, impulses, tuple(blocks),
-                               np.reshape(right_limits, (-1, n)))
+    return PiecewiseTrajectory(n, r, HORIZON, impulses, tuple(blocks))
 
 
 @st.composite
@@ -144,7 +140,7 @@ def test_reads_beyond_edge_tolerance_raise(data):
 def test_brackets_settled_in_theta_space(hist_t, hist_v, t):
     hist = (hist_t, np.array(hist_v)[:, None])
     main = (np.array([0.0, HORIZON]), np.array([[hist_v[-1]], [1.0]]))
-    traj = PiecewiseTrajectory(1, 1.5, HORIZON, [], (hist, main), np.zeros((0, 1)))
+    traj = PiecewiseTrajectory(1, 1.5, HORIZON, [], (hist, main))
     thetas = [float(s - t) for s in hist_t[1:-1]] + [-1.5, -1.0, -0.5, 0.0]
     assert_reads_match(traj.history_segment(t), reference_segment(traj, t), thetas)
 
@@ -155,7 +151,7 @@ def test_reads_past_coverage_end_continue_the_end_value(data):
     full = data.draw(trajectories())
     nblocks = data.draw(st.integers(1, len(full.blocks)))
     traj = PiecewiseTrajectory(full.dimension, full.delay, full.horizon, full.impulse_times,
-                               full.blocks[:nblocks], full.right_limits[:max(nblocks - 2, 0)])
+                               full.blocks[:nblocks])
     end = traj.coverage_end
     for frac in (0.5, 1.0):
         # history_segment accepts t up to this far past the coverage end
@@ -170,7 +166,7 @@ def test_window_just_before_zero_starts_at_the_first_node():
     # first node; w(t - r) is then that node's value, its sign of zero included
     hist = (np.linspace(-1.0, 0.0, 3), np.array([[-0.0], [1.0], [2.0]]))
     main = (np.array([0.0, HORIZON]), np.array([[2.0], [3.0]]))
-    traj = PiecewiseTrajectory(1, 1.0, HORIZON, [], (hist, main), np.zeros((0, 1)))
+    traj = PiecewiseTrajectory(1, 1.0, HORIZON, [], (hist, main))
     window = traj.history_segment(-0.5 * _EDGE_TOL)
     assert window(np.nextafter(-1.0, -np.inf)).tobytes() == hist[1][0].tobytes()
     assert window.values[0].tobytes() == hist[1][0].tobytes()
@@ -206,7 +202,7 @@ def ramp():
     return PiecewiseTrajectory(1, 1.0, HORIZON, [], (
         (np.linspace(-1.0, 0.0, 5), np.arange(5.0)[:, None]),
         (np.linspace(0.0, HORIZON, 9), np.arange(4.0, 13.0)[:, None]),
-    ), np.zeros((0, 1)))
+    ))
 
 
 @pytest.fixture()
