@@ -24,7 +24,7 @@ from .model import ImpulsiveProblem, LipschitzData, batched, node_rows
 from .quadrature import cumtrap, segment_grid, volterra_tri, window_jump, window_nodes
 from .semigroup import SemigroupBound
 from .solver import Discretization, PicardControl, solve_mild
-from .trajectory import _StateView, require_comparable, sigma_diff
+from .trajectory import _StateView, require_comparable, sigma_diff, sorted_unique
 
 __all__ = [
     "PachpatteInstance",
@@ -135,7 +135,7 @@ class PachpatteInstance:
         for k in range(1, self.num_impulses + 1):
             lo, hi = self.window(k)
             pts.append(np.array([lo, hi, float(self.impulse_times[k - 1])]))
-        return np.unique(np.concatenate(pts))
+        return sorted_unique(np.concatenate(pts))
 
     @cached_property
     def _tables(self):

@@ -19,12 +19,14 @@ violation beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bounds import (
+    DivergenceError,
     apriori_bound,
     build_oracle_grid,
     check_dependence,
@@ -40,7 +42,7 @@ from .bounds import (
 from .model import CatalogEntry, as_state, get_entry, with_history
 from .semigroup import operator_norm_bound
 from .solver import ConvergenceError, Discretization, PicardControl, solve_mild
-from .trajectory import PiecewiseTrajectory, require_comparable, sigma_diff
+from .trajectory import PiecewiseTrajectory, require_comparable, sigma_diff, sorted_unique
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "main"]
 
@@ -350,7 +352,7 @@ def _cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig) -> int:
     total = sigma_diff(traj_a, traj_b)
     print(f"sigma_diff = {total:.9g}")
     for j, ((at, _), (bt, _)) in enumerate(zip(traj_a.blocks[1:], traj_b.blocks[1:])):
-        grid = np.unique(np.concatenate([at, bt]))
+        grid = sorted_unique(np.concatenate([at, bt]))
         gap = float(np.max(np.abs(traj_a.eval_many(grid) - traj_b.eval_many(grid))))
         print(f"segment {j}: sup gap = {gap:.9g}")
     return EXIT_OK
@@ -359,6 +361,7 @@ def _cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.cache  # one parser per process: parse_args returns a new Namespace each call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="impulsedde",
                                      description="impulsive delay integro-differential solver "
@@ -406,9 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return EXIT_OK if code == 0 else EXIT_CONFIG
@@ -438,7 +440,7 @@ def run(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
+    except (ConvergenceError, DivergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

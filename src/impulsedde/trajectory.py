@@ -31,6 +31,20 @@ def _as_nodes(times, values, n):
     return t, np.ascontiguousarray(v)
 
 
+def sorted_unique(x):
+    """`np.unique(x)` of a float array, bit for bit: its sorted values without
+    repeats, NaNs counted as one.
+
+    A plain `np.unique` calls `np.ma.is_masked`, which imports `numpy.ma`
+    (about 1 MB) on first use; this sort needs no module beyond numpy's core.
+    """
+    s = np.sort(np.ravel(x))
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    keep[1:] = (s[1:] != s[:-1]) & ~np.isnan(s[:-1])  # NaNs sort last
+    return s[keep]
+
+
 def _interp_sorted(grid, vals, ts):
     """Linear interpolation of (grid, vals) at query times, vectorized.
 
@@ -422,6 +436,6 @@ def sigma_diff(a: PiecewiseTrajectory, b: PiecewiseTrajectory) -> float:
     require_comparable(a, b)
     if a.coverage_end != b.coverage_end:
         raise ValueError(f"trajectories cover up to {a.coverage_end} and {b.coverage_end}")
-    grid = np.unique(np.concatenate([a.main_times, b.main_times]))
+    grid = sorted_unique(np.concatenate([a.main_times, b.main_times]))
     diff = np.concatenate([a.eval_many(grid) - b.eval_many(grid), a.right_limits - b.right_limits])
     return float(np.max(np.abs(diff), initial=0.0))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from impulsedde import Discretization, PicardControl, cli
+from impulsedde import Discretization, DivergenceError, PicardControl, cli
 from impulsedde.cli import (
     ConfigError,
     load_config,
@@ -324,6 +324,16 @@ class TestOtherCommands:
         assert run(["inequality", "--samples", "2", "--out", str(out)]) == 2
         assert "config error: cannot write" in capsys.readouterr().err
 
+    def test_inequality_divergence_exit_four(self, capsys, monkeypatch):
+        def diverge(inst, grid):
+            raise DivergenceError("maximal-solution sweep overflowed")
+
+        monkeypatch.setattr(cli, "maximal_solution", diverge)
+        assert run(["inequality", "--samples", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "solver failure: maximal-solution sweep overflowed\n"
+        assert "max violation" not in captured.out
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_inequality_without_samples_is_usage_error(self, samples, capsys):
         assert run(["inequality", "--samples", samples]) == 2
@@ -392,6 +402,36 @@ def test_runtime_does_not_import_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_runtime_does_not_import_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma; the dependence check, the
+    # campaign and compare build their grids without it
+    config = tmp_path / "window.yaml"
+    config.write_text("problem: {name: windowed_impulse}\ndiscretization: {step: 5.0e-3}\n")
+    code = (
+        "import contextlib, io, sys, impulsedde.cli\n"
+        "from impulsedde import (Discretization, PicardControl, check_dependence, get_entry,\n"
+        "                        operator_norm_bound)\n"
+        "from impulsedde.model import as_state, with_history\n"
+        "entry = get_entry('windowed_impulse')\n"
+        "p = entry.problem\n"
+        "q = with_history(p, lambda t: as_state(p.history(t), 2) + 0.01)\n"
+        "sg = operator_norm_bound(p.generator, p.horizon)\n"
+        "check_dependence('initial', p, q, entry.lipschitz, sg, Discretization(step=5e-3),\n"
+        "                 PicardControl())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert impulsedde.cli.run(['inequality', '--samples', '2']) == 0\n"
+        f"    assert impulsedde.cli.run(['compare', '--config', {str(config)!r},\n"
+        f"                               '--config-b', {str(config)!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_campaign_does_not_import_yaml():
     # yaml is read only by `load_config`; a campaign without --config must not load it
     code = (
@@ -406,3 +446,29 @@ def test_campaign_does_not_import_yaml():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_one_parser_per_process_keeps_no_state_between_runs(capsys):
+    # a seed given to one run, and a usage error after a parsed --seed, must not
+    # reach the next run: the last campaign runs at the default seed 0
+    assert cli._build_parser() is cli._build_parser()
+    runs = [["inequality", "--samples", "2", "--seed", "3"],
+            ["inequality", "--seed", "5", "--samples", "x"],
+            ["inequality", "--samples", "2"]]
+    in_process = []
+    for argv in runs:
+        code = run(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = []
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-m", "impulsedde.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    assert in_process[2][1] != in_process[0][1]
+    assert run(["inequality", "--samples", "2", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == in_process[2][1]
