@@ -147,19 +147,16 @@ class _Duhamel:
         return x
 
 
-def _mild_map(problem, view, times, values, duhamel, x0, z_rect=None):
-    """The mild map at the nodes `times` of the iterate `values`, read through
-    `view`: `duhamel` on the plan of `times`, from x0 (the start value in row 0
-    and any kicks). z_rect, the iterate-free part of the inner integral, is added
-    when given (adding zeros would turn -0.0 to +0.0)."""
-    n = problem.dimension
-    # the stored node value is the correct one-sided sample at theta = 0
-    # (post-jump at a segment start, interior values elsewhere)
-    segs = view.windows(times, values)
-    z = volterra_tri(problem, times, segs)
+def _mild_map(problem, segs, duhamel, x0, z_rect=None):
+    """The mild map at the nodes `segs.times` of the iterate whose windows are
+    `segs` (a `_Windows` whose ends are the iterate's rows): `duhamel` on the plan
+    of those times, from x0 (the start value in row 0 and any kicks). z_rect, the
+    iterate-free part of the inner integral, is added when given (adding zeros
+    would turn -0.0 to +0.0)."""
+    z = volterra_tri(problem, segs.times, segs)
     if z_rect is not None:
         z = z_rect + z
-    return duhamel(x0, node_rows(problem.V, n, times, segs, z))
+    return duhamel(x0, node_rows(problem.V, problem.dimension, segs.times, segs, z))
 
 
 def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretization,
@@ -168,10 +165,14 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
 
     The prefix ends at t_k^- (at 0 for k = 0), and values[0] is w(t_k^+): its end
     value plus `jump_value` at t_k when k >= 1. Returns (node times, node values,
-    iteration count). The iterate history reads use the previous sweep
-    (full-step Picard); iteration stops once the successive sup-norm gap falls
-    below the tolerance (it is driven further, toward the roundoff floor, so the
-    limit does not depend on the initial iterate).
+    sweeps run). The iterate history reads use the previous sweep (full-step
+    Picard); iteration stops once the successive sup-norm gap falls below the
+    tolerance (it is driven further, toward the roundoff floor, so the limit does
+    not depend on the initial iterate), or once the iterate is certified to be a
+    fixed point: no read of the last sweep used a node whose bits that sweep
+    changed, nor the iterate's own rows at theta = 0, nor a t - r past t_k. The
+    kernels are pure, so the next sweep would read the same bits and return the
+    same iterate; that sweep is skipped, unless it would pass `max_iterations`.
     """
     n = problem.dimension
     m = problem.num_impulses
@@ -210,12 +211,19 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     stall = 0
     for iterations in range(1, control.max_iterations + 1):
         view = _StateView(problem.delay, view_times, np.concatenate([pre.values, values], axis=0))
-        new = _mild_map(problem, view, times, values, duhamel, x0, z_rect)
+        # the stored node value is the correct one-sided sample at theta = 0
+        # (post-jump at a segment start, interior values elsewhere)
+        segs = view.windows(times, values)
+        new = _mild_map(problem, segs, duhamel, x0, z_rect)
         gap = float(np.max(np.abs(new - values)))
         if not math.isfinite(gap):
             # a NaN gap would fail every comparison below and run on silently
             raise ConvergenceError(k, iterations, gap, f"segment {k}: non-finite iterate "
                                    f"in sweep {iterations} (successive gap {gap})")
+        # the first row whose bits moved (-0.0 and NaN count), as a view node; the
+        # view keeps the prefix's copy of t_k in place of row 0
+        moved = np.any(new.view(np.int64) != values.view(np.int64), axis=1)
+        first_moved = len(view.node_times) - T + int(np.argmax(moved))
         values = new
         floor = 1e-13 * (1.0 + float(np.max(np.abs(values))))
         if gap <= max(1e-3 * tol, floor):
@@ -225,6 +233,10 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
             if stall >= 2:
                 break  # roundoff floor reached below the tolerance
         best_gap = min(best_gap, gap)
+        if (iterations < control.max_iterations and segs.reach < first_moved
+                and not segs.read_high
+                and (not segs.read_low or times[-1] - problem.delay <= t_start)):
+            break  # certified: the next sweep would read the same bits, so return them
     else:
         if gap > tol:
             raise ConvergenceError(k, control.max_iterations, gap)
@@ -302,7 +314,7 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory) -> float
     for k in range(1, problem.num_impulses + 1):
         tk = float(problem.impulse_times[k - 1])
         x0[np.searchsorted(sigma, tk, side="right") - 1] += window_jump(problem, view, k)
-    rhs = _mild_map(problem, view, sigma, w_ref, _Duhamel(problem.generator, sigma), x0)
+    rhs = _mild_map(problem, view.windows(sigma, w_ref), _Duhamel(problem.generator, sigma), x0)
 
     defect = np.max(np.abs(w_ref - rhs), axis=1)
     return float(np.max(defect[at % 2 == 0]))

@@ -26,7 +26,7 @@ def _as_nodes(times, values, n):
         v = v[:, None] if n == 1 else v.reshape(len(t), n)
     if t.ndim != 1 or v.shape != (len(t), n):
         raise ValueError(f"block nodes must be (L,) times with (L, {n}) values")
-    if len(t) < 2 or np.any(np.diff(t) <= 0.0):
+    if len(t) < 2 or not np.all(np.diff(t) > 0.0):  # a NaN time fails too
         raise ValueError("block node times must be strictly increasing with >= 2 nodes")
     return t, np.ascontiguousarray(v)
 
@@ -79,7 +79,7 @@ def _samples(theta_grid, values):
         v = v[:, None]
     if g.ndim != 1 or len(g) < 2 or v.shape[0] != len(g):
         raise ValueError("theta_grid and values must be parallel with >= 2 samples")
-    if np.any(np.diff(g) <= 0.0):
+    if not np.all(np.diff(g) > 0.0):  # a NaN theta fails too
         raise ValueError("theta_grid must be strictly increasing")
     if g[0] >= 0.0 or g[-1] != 0.0:
         raise ValueError("theta_grid must start at -r < 0 and end exactly at 0")
@@ -123,6 +123,8 @@ class HistorySegment:
             raise AttributeError(name)
         parent, i = self._parent, self._i
         view, j0, j1 = parent._view, parent._j0[i], parent._j1[i]
+        parent.reach = max(parent.reach, int(j1) - 1)  # the whole window and both ends
+        parent.read_low = parent.read_high = True
         thetas = np.concatenate(([-view.delay], view.node_times[j0:j1] - parent.times[i], [0.0]))
         values = np.concatenate((parent._low[i:i + 1], view.node_values[j0:j1],
                                  parent._high[i:i + 1]))
@@ -208,6 +210,13 @@ class _Windows:
     i as a `HistorySegment`, for kernels that are called node by node; its
     scalar reads are rows of `W(theta)`, so the first read at a theta reads
     every row there and later rows at that theta are lookups.
+
+    The reads record what they used, for `solve_segment`'s certified stop:
+    `reach`, the highest view node any read used (an interior read uses the node
+    below t + theta and, unless it lands on it, the node above), and whether any
+    used the sentinel w((t - r)^-) (`read_low`) or an end row (`read_high`). A
+    row whose `theta_grid` or `values` is built (array reads, `sup_norm`) has
+    used its whole window and both sentinels.
     """
 
     def __init__(self, view: _StateView, times: np.ndarray, ends=None):
@@ -223,6 +232,7 @@ class _Windows:
             j0 += inside
         self._view, self.times, self._ends, self._j0, self._j1 = view, times, ends, j0, j1
         self._reads = {}  # theta -> W(theta), kept for the rows' scalar reads
+        self.reach, self.read_low, self.read_high = -1, False, False
 
     def __getitem__(self, i: int) -> HistorySegment:
         # a row refers to its parent, never the reverse, so the two form no cycle;
@@ -255,8 +265,10 @@ class _Windows:
         if theta < -r - pad or theta > pad:
             raise ValueError(f"theta={theta} outside [{-r}, 0]")
         if theta < -r:
+            self.read_low = True
             return self._low.copy()
         if not theta < 0.0:  # NaN too, as on every reader
+            self.read_high = True
             return self._high.copy()
         nodes, vals, j0, j1 = view.node_times, view.node_values, self._j0, self._j1
         last = len(nodes) - 1
@@ -291,6 +303,12 @@ class _Windows:
         on = theta == ga  # a row on a sample reads the sample itself, as the scalar read does
         if on.any():
             out[on] = va[on]
+        # a row uses node j unless below, and node j + 1 unless on a sample or above
+        top = j + ~(on | above)
+        top[below & (on | above)] = -1
+        self.reach = max(self.reach, int(top.max()))
+        self.read_low |= bool(below.any())
+        self.read_high |= bool((above & ~on).any())
         return out
 
 

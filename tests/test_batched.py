@@ -181,6 +181,7 @@ def test_marked_V_is_called_once_per_sweep():
         return problem.V(t, w_t, z)
 
     traj, report = solve_mild(replace(problem, V=V), Discretization(step=5e-3))
+    assert report.iterations_per_segment == (2, 2)  # the third sweep of each is certified away
     array_calls = [shape for shape in calls if shape != ()]
     # one array call per sweep and one for the residual, plus validation's probe
     assert len(array_calls) == sum(report.iterations_per_segment) + 2

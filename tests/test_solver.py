@@ -90,7 +90,7 @@ def per_block_residual(problem, traj):
         tk = float(problem.impulse_times[k - 1])
         wI = as_state(problem.jump_maps[k - 1](window_sum(problem, view, k)), n)
         x0[np.searchsorted(sigma, tk, side="right") - 1] += wI
-    rhs = _mild_map(problem, view, sigma, w_ref, _Duhamel(problem.generator, sigma), x0)
+    rhs = _mild_map(problem, view.windows(sigma, w_ref), _Duhamel(problem.generator, sigma), x0)
     return float(np.max(np.max(np.abs(w_ref - rhs), axis=1)[np.concatenate(natives)]))
 
 

@@ -226,3 +226,17 @@ class TestConstruction:
         b1 = (np.array([0.0, 0.5, 0.5, 1.0]), np.zeros((4, 1)))
         with pytest.raises(ValueError):
             PiecewiseTrajectory(1, 1.0, 1.0, [], (hist, b1))
+
+    def test_nan_node_time_raises(self):
+        # diff <= 0 is false at a NaN; the check must read "every diff > 0"
+        hist = (np.array([-1.0, 0.0]), np.zeros((2, 1)))
+        b1 = (np.array([0.0, 2.0]), np.zeros((2, 1)))
+        nan_hist = (np.array([-1.0, np.nan, 0.0]), np.zeros((3, 1)))
+        nan_b1 = (np.array([0.0, np.nan, 2.0]), np.zeros((3, 1)))
+        for blocks in ((hist, nan_b1), (nan_hist, b1)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                PiecewiseTrajectory(1, 1.0, 2.0, [], blocks)
+
+    def test_nan_theta_raises(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            HistorySegment([-1.0, np.nan, 0.0], [[0.0], [1.0], [2.0]])
