@@ -4,11 +4,13 @@ of every impulse (solve, residual and a-priori bound) and the Volterra sums of U
 
 The Volterra sums read U's form, probed once per problem (`model.probe_t`,
 cached as the problem's `_u_form`). For a U that depends on its outer time t
-they run column by column over U(t, sigma_i, w_sigma_i): one call over the
-column's times for a U that broadcasts over t, else one call per t. For a U
-that ignores t they take O(N) form over the rows u_i = U(s_i, s_i, w_{s_i})
-(one array call for a `batched` U), adding the same terms in the same order, so
-the bits are the same, except a NaN's sign.
+they run over the columns U(t, sigma_i, w_sigma_i): one call over the column's
+times for a U that broadcasts over t, else one call per t. The columns are
+added in blocks of at most 64 KiB of terms, one cumulative sum per block that
+adds each term in the column-by-column order. For a U that ignores t they take
+O(N) form over the rows u_i = U(s_i, s_i, w_{s_i}) (one array call for a
+`batched` U), adding the same terms in the same order, so the bits are the
+same, except a NaN's sign.
 """
 
 from __future__ import annotations
@@ -92,14 +94,59 @@ def _sequential_sum(weights, rows, skip):
     return np.cumsum(terms, axis=0)
 
 
-def _u_column(problem, ts, s, seg) -> np.ndarray:
-    """U(t, s, seg) at every t of ts as (T, n) rows: one call over ts for a U that
-    broadcasts over t (read by `t_rows`, a view of a float result), else one call
-    per t."""
-    U, n = problem.U, problem.dimension
-    if problem._u_form == "broadcast":
-        return t_rows(U(ts, s, seg), len(ts), n)
-    return np.stack([as_state(U(t, s, seg), n) for t in ts.tolist()])
+_BLOCK_FLOATS = 8192  # the terms of one block of U columns: 64 KiB
+
+
+def _add_columns(problem, z, ts, sigma, segs, weights, tri):
+    """Add the weighted columns of U to z (T, n), one column after another.
+
+    Column i is U(ts[j], sigma[i], segs[i]) at the rows j >= i (`tri`) or at every
+    row. Its term k (k = 0 only, or the left and right trapezoid weights k = 0, 1
+    of `tri`) adds weights[i, k] times its value to the rows j >= i + k. A block of
+    C columns is one cumulative sum over the rows [z, term 0 of column a, term 1
+    of column a, term 0 of column a + 1, ...], which adds to each row of z what
+    the column loop added, in its order; a skipped term is -0.0, the one addend
+    that leaves every sum as it is. The weights are >= 0 (sorted nodes), so the
+    -0.0 that pads a `tri` column above its first row stays -0.0. A column whose
+    weights are all 0 calls no U.
+    """
+    U, n, broadcast = problem.U, problem.dimension, problem._u_form == "broadcast"
+    T, K = len(ts), weights.shape[1]
+    live, skip, s_all = weights.any(axis=1).tolist(), weights == 0.0, sigma.tolist()
+    rows = iter(segs)
+    a = 0
+    while a < len(s_all):
+        top = a if tri else 0
+        L = T - top
+        C = min(len(s_all) - a, max(1, (_BLOCK_FLOATS // max(L * n, 1) - 1) // K))
+        terms = np.full((1 + K * C, L, n), -0.0)
+        terms[0] = z[top:]
+        cols = terms[1::K]
+        flat = cols[:, :, 0]
+        for c in range(C):
+            i, seg = a + c, next(rows)
+            if not live[i]:
+                continue
+            j, t_col = (c, ts[i:]) if tri else (0, ts)
+            s = s_all[i]
+            if not broadcast:
+                cols[c, j:] = [as_state(U(t, s, seg), n) for t in t_col.tolist()]
+                continue
+            raw = U(t_col, s, seg)
+            if n == 1 and type(raw) is np.ndarray and raw.shape == (L - j,):
+                flat[c, j:] = raw
+            else:
+                cols[c, j:] = t_rows(raw, L - j, n)
+        w = weights[a:a + C, :, None, None]
+        for k in reversed(range(K)):  # term 0 last: the other terms read the bare columns
+            np.multiply(w[:, k], cols, out=terms[1 + k::K])
+        if tri:  # term 1 starts one row below its column
+            c = np.arange(C)
+            terms[2 + 2 * c, c] = -0.0
+        terms[1:][skip[a:a + C].ravel()] = -0.0
+        np.cumsum(terms, axis=0, out=terms)
+        z[top:] = terms[-1]
+        a += C
 
 
 def volterra_rect(problem, t_nodes, sigma_times, sigma_segs):
@@ -116,9 +163,7 @@ def volterra_rect(problem, t_nodes, sigma_times, sigma_segs):
         u = node_rows(problem.U, n, sigma_times, sigma_segs, lead=2)
         out[:] = _sequential_sum(w, u, w == 0.0)[-1]
         return out
-    for i, (wi, si) in enumerate(zip(w, sigma_times.tolist())):
-        if wi != 0.0:
-            out += wi * _u_column(problem, t_nodes, si, sigma_segs[i])
+    _add_columns(problem, out, t_nodes, sigma_times, sigma_segs, w[:, None], tri=False)
     return out
 
 
@@ -140,15 +185,7 @@ def volterra_tri(problem, nodes, segs):
         terms[1::2] = u[1:]
         return _sequential_sum(half, terms, np.repeat(d == 0.0, 2))[0::2]
     # column i adds (d_{i-1} / 2) col to z[i:], then (d_i / 2) col[1:] to z[i+1:]
-    half = (0.5 * d).tolist()
-    for i, (left, right, s) in enumerate(zip([0.0] + half, half + [0.0], nodes.tolist())):
-        if left == 0.0 and right == 0.0:
-            continue
-        col = _u_column(problem, nodes[i:], s, segs[i])
-        zi = z[i:]
-        if left != 0.0:
-            zi += left * col
-        if right != 0.0:
-            zi = zi[1:]
-            zi += right * col[1:]
+    weights = np.zeros((T, 2))
+    weights[1:, 0] = weights[:-1, 1] = 0.5 * d
+    _add_columns(problem, z, nodes, nodes, segs, weights, tri=True)
     return z

@@ -14,7 +14,7 @@ states of all its nodes through one `_Windows` view; a V or G marked
 `batched` is called once over all nodes, any other once per node
 (`node_rows`). The double Volterra integral is one O(N) cumulative sum for a
 U that ignores its outer time t and is accumulated column by column otherwise,
-so no N x N matrix is ever materialized.
+in blocks of columns bounded in bytes, so no N x N matrix is ever materialized.
 """
 
 from __future__ import annotations
@@ -170,9 +170,10 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
     tolerance (it is driven further, toward the roundoff floor, so the limit does
     not depend on the initial iterate), or once the iterate is certified to be a
     fixed point: no read of the last sweep used a node whose bits that sweep
-    changed, nor the iterate's own rows at theta = 0, nor a t - r past t_k. The
-    kernels are pure, so the next sweep would read the same bits and return the
-    same iterate; that sweep is skipped, unless it would pass `max_iterations`.
+    changed (the sentinels w((t - r)^-) included), nor the iterate's own rows at
+    theta = 0. The kernels are pure, so the next sweep would read the same bits
+    and return the same iterate; that sweep is skipped, unless it would pass
+    `max_iterations`.
     """
     n = problem.dimension
     m = problem.num_impulses
@@ -233,9 +234,7 @@ def solve_segment(problem, prefix: PiecewiseTrajectory, k: int, disc: Discretiza
             if stall >= 2:
                 break  # roundoff floor reached below the tolerance
         best_gap = min(best_gap, gap)
-        if (iterations < control.max_iterations and segs.reach < first_moved
-                and not segs.read_high
-                and (not segs.read_low or times[-1] - problem.delay <= t_start)):
+        if iterations < control.max_iterations and segs.reach < first_moved and not segs.read_high:
             break  # certified: the next sweep would read the same bits, so return them
     else:
         if gap > tol:

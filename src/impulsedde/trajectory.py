@@ -55,14 +55,14 @@ def _interp_sorted(grid, vals, ts):
     end values exactly.
     """
     ts = np.clip(np.asarray(ts, dtype=float), grid[0], grid[-1])
-    idx = np.searchsorted(grid, ts, side="left")
-    idx = np.clip(idx, 0, len(grid) - 1)
+    # integer bounds by minimum and maximum: np.clip's wrapper costs more than its work
+    idx = np.minimum(np.searchsorted(grid, ts, side="left"), len(grid) - 1)
     exact = grid[idx] == ts
     out = np.empty(ts.shape + (vals.shape[1],))
     out[exact] = vals[idx[exact]]
     rest = ~exact
-    if np.any(rest):
-        hi = np.clip(idx[rest], 1, len(grid) - 1)
+    if rest.any():
+        hi = np.maximum(idx[rest], 1)
         lo = hi - 1
         tq = ts[rest]
         span = grid[hi] - grid[lo]
@@ -124,7 +124,7 @@ class HistorySegment:
         parent, i = self._parent, self._i
         view, j0, j1 = parent._view, parent._j0[i], parent._j1[i]
         parent.reach = max(parent.reach, int(j1) - 1)  # the whole window and both ends
-        parent.read_low = parent.read_high = True
+        parent.read_high = True
         thetas = np.concatenate(([-view.delay], view.node_times[j0:j1] - parent.times[i], [0.0]))
         values = np.concatenate((parent._low[i:i + 1], view.node_values[j0:j1],
                                  parent._high[i:i + 1]))
@@ -213,10 +213,15 @@ class _Windows:
 
     The reads record what they used, for `solve_segment`'s certified stop:
     `reach`, the highest view node any read used (an interior read uses the node
-    below t + theta and, unless it lands on it, the node above), and whether any
-    used the sentinel w((t - r)^-) (`read_low`) or an end row (`read_high`). A
-    row whose `theta_grid` or `values` is built (array reads, `sup_norm`) has
-    used its whole window and both sentinels.
+    below t + theta and, unless it lands on it, the node above; the sentinels
+    w((t - r)^-), built once, use the nodes around every t - r, a repeated time
+    counting as one node), and whether any used an end row (`read_high`). A row
+    whose `theta_grid` or `values` is built (array reads, `sup_norm`) has used
+    its whole window and both sentinels.
+
+    At theta <= -r every row reads its sentinel, so W(-r) is a copy of it
+    without a bracket search, and a theta the rows' scalar reads have kept is a
+    copy of that read.
     """
 
     def __init__(self, view: _StateView, times: np.ndarray, ends=None):
@@ -232,20 +237,33 @@ class _Windows:
             j0 += inside
         self._view, self.times, self._ends, self._j0, self._j1 = view, times, ends, j0, j1
         self._reads = {}  # theta -> W(theta), kept for the rows' scalar reads
-        self.reach, self.read_low, self.read_high = -1, False, False
+        self.reach, self.read_high = -1, False
+
+    def _row(self, i: int) -> HistorySegment:
+        # a row refers to its parent, never the reverse, so the two form no cycle
+        row = HistorySegment.__new__(HistorySegment)
+        attrs = vars(row)
+        attrs["_parent"], attrs["_i"] = self, i
+        return row
 
     def __getitem__(self, i: int) -> HistorySegment:
-        # a row refers to its parent, never the reverse, so the two form no cycle;
-        # an index past the end raises IndexError, which ends iteration over rows
-        row = HistorySegment.__new__(HistorySegment)
-        vars(row).update(_parent=self, _i=range(len(self.times))[i])
-        return row
+        if not (type(i) is int and 0 <= i < len(self.times)):
+            i = range(len(self.times))[i]  # negative, numpy and out-of-range indices
+        return self._row(i)
+
+    def __iter__(self):
+        return map(self._row, range(len(self.times)))
 
     @cached_property
     def _low(self) -> np.ndarray:
         view = self._view
-        # t - r below the first node (t just below 0) reads that node exactly
-        return _interp_sorted(view.times, view.values, self.times - view.delay)
+        q = self.times - view.delay
+        # the highest node used is the first node at or above the highest t - r
+        # (t - r below the first node, t just below 0, reads that node exactly)
+        if len(q):
+            top = np.searchsorted(view.node_times, q.max(), side="left")
+            self.reach = max(self.reach, min(int(top), len(view.node_times) - 1))
+        return _interp_sorted(view.times, view.values, q)
 
     @cached_property
     def _high(self) -> np.ndarray:
@@ -259,13 +277,15 @@ class _Windows:
             if np.ndim(theta) != 0:
                 raise TypeError("batched windows are read at one theta at a time")
             theta = float(theta)
+        kept = self._reads.get(theta)
+        if kept is not None:
+            return kept.copy()
         view, ts = self._view, self.times
         r = view.delay
         pad = _EDGE_TOL * (1.0 + r)
         if theta < -r - pad or theta > pad:
             raise ValueError(f"theta={theta} outside [{-r}, 0]")
-        if theta < -r:
-            self.read_low = True
+        if theta <= -r:  # every row lies below its window's first node
             return self._low.copy()
         if not theta < 0.0:  # NaN too, as on every reader
             self.read_high = True
@@ -307,7 +327,6 @@ class _Windows:
         top = j + ~(on | above)
         top[below & (on | above)] = -1
         self.reach = max(self.reach, int(top.max()))
-        self.read_low |= bool(below.any())
         self.read_high |= bool((above & ~on).any())
         return out
 

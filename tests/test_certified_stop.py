@@ -47,7 +47,7 @@ def scalar_problem(V, horizon=1.0):
 
 def problems():
     """name -> (problem, sweeps per segment)."""
-    cases = {"paper_example": (1, 1), "pure_semigroup": (1,), "method_of_steps": (3,),
+    cases = {"paper_example": (1, 1), "pure_semigroup": (1,), "method_of_steps": (2,),
              "windowed_impulse": (2, 2), "parameter_family": (2, 2)}
     out = {name: (get_entry(name).problem, sweeps) for name, sweeps in cases.items()}
     out["convolution_family"] = (replace(get_entry("parameter_family").problem, U=convolution_U),
@@ -69,8 +69,8 @@ def problems():
 
 
 PROBLEMS = problems()
-CERTIFIED = {"paper_example", "pure_semigroup", "windowed_impulse", "parameter_family",
-             "convolution_family", "edge_bracket"}
+CERTIFIED = {"paper_example", "pure_semigroup", "method_of_steps", "windowed_impulse",
+             "parameter_family", "convolution_family", "edge_bracket"}
 
 
 def segment_sweep(problem, prefix, k, times):

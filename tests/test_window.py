@@ -285,3 +285,102 @@ def test_segments_are_immutable():
         with pytest.raises(AttributeError):
             del segment.values
         assert segment(-0.5).shape == (1,)
+
+
+# ---------------------------------------------------------------------------
+# reads that need no bracket search
+
+def bracket_read(windows, theta):
+    """`_Windows.__call__`'s bracket search, which also read theta = -r until that
+    read became a copy of the sentinel row."""
+    view, ts = windows._view, windows.times
+    r = view.delay
+    nodes, vals, j0, j1 = view.node_times, view.node_values, windows._j0, windows._j1
+    last = len(nodes) - 1
+    j = np.minimum(np.maximum(np.searchsorted(nodes, ts + theta, side="right"), j0), j1) - 1
+    while True:
+        up = (j + 1 < j1) & (nodes[np.minimum(j + 1, last)] - ts <= theta)
+        if not up.any():
+            break
+        j += up
+    while True:
+        down = (j >= j0) & (nodes[np.maximum(j, 0)] - ts > theta)
+        if not down.any():
+            break
+        j -= down
+    ja, jb = np.maximum(j, 0), np.minimum(j + 1, last)
+    ga, gb = nodes[ja] - ts, nodes[jb] - ts
+    va, vb = vals[ja], vals[jb]
+    below, above = j < j0, j + 1 >= j1
+    ga[below], va[below] = -r, windows._low[below]
+    gb[above], vb[above] = 0.0, windows._high[above]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = va + ((theta - ga) / (gb - ga))[:, None] * (vb - va)
+    on = theta == ga
+    out[on] = va[on]
+    top = j + ~(on | above)
+    top[below & (on | above)] = -1
+    windows.reach = max(windows.reach, int(top.max()))
+    windows.read_high |= bool((above & ~on).any())
+    return out
+
+
+def sentinel_reach(view, times):
+    """The highest view node the sentinels w((t - r)^-) interpolate from: the node
+    a t - r lands on, else the first node above it (its repeat counts as one node)."""
+    nodes = view.node_times
+    used = [np.flatnonzero(nodes >= q)[0] if q <= nodes[-1] else len(nodes) - 1
+            for q in (times - view.delay).tolist()]
+    return max(used)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_read_at_minus_r_equals_the_bracket_search(data):
+    traj = data.draw(trajectories())
+    r, view = traj.delay, traj._view
+    node = data.draw(st.sampled_from(view.node_times.tolist()))
+    # t - r on a node and one ulp to either side of it
+    near = [node + r, np.nextafter(node + r, np.inf), np.nextafter(node + r, -np.inf)]
+    picks = data.draw(st.lists(st.one_of(st.sampled_from(near), st.floats(0.0, HORIZON)),
+                               min_size=1, max_size=6))
+    times = np.clip(np.array(picks, dtype=float), 0.0, HORIZON)
+    got, ref = view.windows(times), view.windows(times)
+    assert got(-r).tobytes() == bracket_read(ref, -r).tobytes()
+    assert (got.reach, got.read_high) == (ref.reach, ref.read_high)
+    assert got.reach == sentinel_reach(view, times)
+
+
+def test_a_kept_theta_is_a_fresh_copy_without_a_search(monkeypatch):
+    windows = ramp()._view.windows(np.linspace(0.3, 1.9, 7))
+    for row in windows:
+        row(-0.3)  # the rows' scalar reads keep W(-0.3)
+    reach, searches = windows.reach, []
+    search = np.searchsorted
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    first, second = windows(-0.3), windows(np.float64(-0.3))
+    assert searches == [] and windows.reach == reach
+    assert first.tobytes() == second.tobytes() == windows._reads[-0.3].tobytes()
+    first[:] = 99.0
+    assert windows(-0.3).tobytes() == second.tobytes()
+
+
+def test_iterated_rows_equal_indexed_rows():
+    windows = ramp()._view.windows(np.linspace(0.3, 1.9, 7))
+    rows = list(windows)
+    assert len(rows) == 7
+    for i, row in enumerate(rows):
+        for index in (i, i - 7, np.int64(i)):
+            assert windows[index]._i == row._i == i
+        assert row(-0.4).tobytes() == windows[i](-0.4).tobytes() == windows(-0.4)[i].tobytes()
+    for index in (7, -8, 100):
+        with pytest.raises(IndexError):
+            windows[index]
+    for index in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            windows[index]
