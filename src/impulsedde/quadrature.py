@@ -109,6 +109,13 @@ def _add_columns(problem, z, ts, sigma, segs, weights, tri):
     that leaves every sum as it is. The weights are >= 0 (sorted nodes), so the
     -0.0 that pads a `tri` column above its first row stays -0.0. A column whose
     weights are all 0 calls no U.
+
+    Which operand's NaN a sum of two NaNs keeps differs between numpy's add loops
+    (and between the vector body and the tail of one loop), so a block whose z
+    rows or columns hold a NaN adds its columns one by one in place, as the
+    column loop did. Any NaN among a block's addends reaches the last row of its
+    cumulative sum; without one, every NaN the sum makes is the default NaN, and
+    the bits do not depend on the loop.
     """
     U, n, broadcast = problem.U, problem.dimension, problem._u_form == "broadcast"
     T, K = len(ts), weights.shape[1]
@@ -119,9 +126,9 @@ def _add_columns(problem, z, ts, sigma, segs, weights, tri):
         top = a if tri else 0
         L = T - top
         C = min(len(s_all) - a, max(1, (_BLOCK_FLOATS // max(L * n, 1) - 1) // K))
-        terms = np.full((1 + K * C, L, n), -0.0)
+        terms = np.empty((1 + K * C, L, n))
         terms[0] = z[top:]
-        cols = terms[1::K]
+        cols = np.full((C, L, n), -0.0)
         flat = cols[:, :, 0]
         for c in range(C):
             i, seg = a + c, next(rows)
@@ -138,14 +145,22 @@ def _add_columns(problem, z, ts, sigma, segs, weights, tri):
             else:
                 cols[c, j:] = t_rows(raw, L - j, n)
         w = weights[a:a + C, :, None, None]
-        for k in reversed(range(K)):  # term 0 last: the other terms read the bare columns
+        for k in range(K):
             np.multiply(w[:, k], cols, out=terms[1 + k::K])
         if tri:  # term 1 starts one row below its column
             c = np.arange(C)
             terms[2 + 2 * c, c] = -0.0
         terms[1:][skip[a:a + C].ravel()] = -0.0
         np.cumsum(terms, axis=0, out=terms)
-        z[top:] = terms[-1]
+        if not math.isnan(terms[-1].sum()):
+            z[top:] = terms[-1]
+        else:  # a NaN among the addends reaches the last row of the sum
+            for c in range(C):
+                i = a + c
+                zi, col = (z[i:], cols[c, c:]) if tri else (z, cols[c])
+                for k in range(K):
+                    if not skip[i, k]:
+                        zi[k:] += weights[i, k] * col[k:]
         a += C
 
 
