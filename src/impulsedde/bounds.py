@@ -72,9 +72,13 @@ def _exp(xs: np.ndarray) -> np.ndarray:
 class PachpatteInstance:
     """Data of the impulsive inequality; hosts its quadrature tables.
 
-    n must be finite, positive and nondecreasing, f and g finite and nonnegative
-    (checked on the instance grid at construction), and each window
-    [t_k - tau_k, t_k - theta_k] must sit inside the preceding inter-impulse interval.
+    The horizon, each beta_k >= 0 and each impulse time must be finite; n must be
+    finite, positive and nondecreasing, f and g finite and nonnegative (checked on
+    the instance grid at construction), and each window [t_k - tau_k, t_k - theta_k]
+    must sit inside the preceding inter-impulse interval.
+
+    The instance keeps the samples of n, f and g on the last grid it sampled
+    (`_samples`), so the oracle and the bound curve on one grid sample them once.
     """
 
     n: Callable
@@ -93,17 +97,17 @@ class PachpatteInstance:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "grid_points", int(self.grid_points))
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be > 0")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and > 0")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         m = len(self.impulse_times)
         if not (len(self.beta) == len(self.theta) == len(self.tau) == m):
             raise ValueError("beta, theta, tau must match the impulse count")
-        if np.any(self.beta < 0.0):
-            raise ValueError("beta_k must be >= 0")
+        if not np.all((self.beta >= 0.0) & (self.beta < math.inf)):
+            raise ValueError("beta_k must be finite and >= 0")
         tk = self.impulse_times
-        if m and (np.any(tk <= 0.0) or np.any(tk > self.horizon) or np.any(np.diff(tk) <= 0.0)):
+        if not (np.all((tk > 0.0) & (tk <= self.horizon)) and np.all(np.diff(tk) > 0.0)):
             raise ValueError("impulse times must be strictly increasing inside (0, horizon]")
         prev = 0.0
         for k in range(m):
@@ -114,7 +118,7 @@ class PachpatteInstance:
             prev = tk[k]
         # sampled finiteness, sign and monotonicity checks; NaN fails every
         # comparison, so each one states what a valid sample passes
-        nv = _sample(self.n, self.grid)
+        nv = self._samples(self.grid)[0]
         if (not np.all((nv > 0.0) & (nv < math.inf))
                 or np.any(np.diff(nv) < -1e-12 * (1.0 + np.max(np.abs(nv))))):
             raise ValueError("n(t) must be finite, positive and nondecreasing on the grid")
@@ -137,11 +141,27 @@ class PachpatteInstance:
             pts.append(np.array([lo, hi, float(self.impulse_times[k - 1])]))
         return sorted_unique(np.concatenate(pts))
 
+    def _samples(self, xs: np.ndarray) -> tuple:
+        """n at each node of the 1-D float grid xs, and f and g there as the two
+        rows of one array.
+
+        The last grid sampled is kept with its samples as one record: the
+        instance's own copy of that grid (the instance grid is kept as itself),
+        n, and the f and g rows. A grid with the same bits (0.0 is not -0.0)
+        reuses them; any other grid is sampled afresh and replaces the record."""
+        rec = self.__dict__.get("_record")
+        if rec is None or rec[0].shape != xs.shape or rec[0].tobytes() != xs.tobytes():
+            nv = _sample(self.n, xs)
+            fg = np.empty((2, len(xs)))
+            fg[0], fg[1] = _sample(self.f, xs), _sample(self.g, xs)
+            rec = (xs if xs is self.grid else xs.copy(), nv, fg)
+            object.__setattr__(self, "_record", rec)
+        return rec[1:]
+
     @cached_property
     def _tables(self):
         xs = self.grid
-        fv = _sample(self.f, xs)
-        gv = _sample(self.g, xs)
+        fv, gv = self._samples(xs)[1]
         for name, vals in (("f", fv), ("g", gv)):
             if not np.all((vals >= 0.0) & (vals < math.inf)):
                 raise ValueError(f"{name}(t) must be finite and nonnegative on the grid")
@@ -152,8 +172,10 @@ class PachpatteInstance:
 
     def _F_at(self, ts: np.ndarray) -> np.ndarray:
         """int_0^t f[1 + int_0^s g] at each t: the table value on a grid node, else
-        the node's value plus one trapezoid, with f and g sampled at t itself
-        (one `_sample` call each for all off-node t, none when every t is a node)."""
+        the node's value plus one trapezoid, with f and g at t itself. These are
+        read from the samples on ts (`_samples`): none is taken when every t is a
+        node, and on the grid the oracle or the curve just sampled none is taken
+        afresh."""
         xs = self.grid
         _, gv, G, phi, F = self._tables
         i = np.maximum(xs.searchsorted(ts, side="right") - 1, 0)
@@ -161,9 +183,10 @@ class PachpatteInstance:
         off = np.nonzero((xs[i] != ts) & (i != len(xs) - 1))[0]
         if not off.size:
             return out
+        f_ts, g_ts = self._samples(ts)[1]
         t, i = ts[off], i[off]
-        G_t = G[i] + 0.5 * (t - xs[i]) * (gv[i] + _sample(self.g, t))
-        out[off] = F[i] + 0.5 * (t - xs[i]) * (phi[i] + _sample(self.f, t) * (1.0 + G_t))
+        G_t = G[i] + 0.5 * (t - xs[i]) * (gv[i] + g_ts[off])
+        out[off] = F[i] + 0.5 * (t - xs[i]) * (phi[i] + f_ts[off] * (1.0 + G_t))
         return out
 
     @cached_property
@@ -227,7 +250,9 @@ def pachpatte_curve(inst: PachpatteInstance, ts) -> np.ndarray:
     at every t of the 1-D array ts, in any order.
 
     alpha resolves to the last impulse strictly before t; with no impulse before
-    t the exponential integrates from 0.
+    t the exponential integrates from 0. n, f and g are read from the instance's
+    samples on ts, so a curve on the grid `maximal_solution` just swept samples
+    none of them again.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
@@ -239,7 +264,7 @@ def pachpatte_curve(inst: PachpatteInstance, ts) -> np.ndarray:
     # resolved alpha must match the product's strict index set
     alpha = inst.impulse_times.searchsorted(ts, side="left")
     F_alpha, prods = inst._alpha_tables
-    return _sample(inst.n, ts) * prods[alpha] * _exp(inst._F_at(ts) - F_alpha[alpha])
+    return inst._samples(ts)[0] * prods[alpha] * _exp(inst._F_at(ts) - F_alpha[alpha])
 
 
 def pachpatte_bound(inst: PachpatteInstance, t: float) -> BoundReport:
@@ -269,15 +294,18 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
     least fixed point, which dominates every u satisfying the inequality on the
     same grid. Divergence (overflow or sweep-budget exhaustion) raises.
 
-    The sweep's invariants (the half steps, each window's node range and steps,
-    the first node past each t_k) are computed once, and f u and g u are
-    integrated in one pass; per element a sweep does `cumtrap`'s and
-    `np.trapezoid`'s arithmetic, so it returns their bits.
+    n, f and g are read from the instance's samples on the grid (`_samples`), so
+    a `pachpatte_curve` on the same grid samples none of them again. The sweep's
+    invariants (the half steps, each window's node range and steps, the first
+    node past each t_k) and its buffers are made once; f u and g u are
+    integrated in one pass, and each sweep writes into the buffers in place,
+    two iterates swapping roles. Per element a sweep does `cumtrap`'s and
+    `np.trapezoid`'s arithmetic in their order, so it returns their bits.
     """
     if not 0.0 < sweep_tol < math.inf or max_sweeps < 1:
         raise ValueError("sweep_tol must be finite and > 0, and max_sweeps >= 1")
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
+    if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0.0):
         raise ValueError("grid must be strictly increasing with >= 2 nodes")
     if abs(grid[0]) > 1e-12 or abs(grid[-1] - inst.horizon) > 1e-9:
         raise ValueError("grid must cover [0, horizon]")
@@ -290,7 +318,8 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
 
     steps = np.diff(grid)
     half = 0.5 * steps
-    windows = []  # (beta_k, first window node, one past its last, its steps, first node > t_k)
+    # (beta_k, first window node, one past its last, its steps, first node > t_k, a buffer)
+    windows = []
     for k in range(1, inst.num_impulses + 1):
         lo, hi = inst.window(k)
         tk = float(inst.impulse_times[k - 1])
@@ -298,29 +327,47 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
         if hi > lo:
             a, b = locate(lo), locate(hi) + 1
             windows.append((float(inst.beta[k - 1]), a, b, steps[a:b - 1],
-                            int(grid.searchsorted(tk, side="right"))))
-    fv = _sample(inst.f, grid)
-    gv = _sample(inst.g, grid)
-    nv = _sample(inst.n, grid)
-    fg = np.stack([fv, gv])
+                            int(grid.searchsorted(tk, side="right")), np.empty(b - 1 - a)))
+    nv, fg = inst._samples(grid)
+    fv = fg[0]
 
-    def cumulative(y: np.ndarray) -> np.ndarray:  # cumtrap(grid, y) along the last axis
-        out = np.empty_like(y)
-        out[..., 0] = 0.0
-        (half * (y[..., 1:] + y[..., :-1])).cumsum(axis=-1, out=out[..., 1:])
-        return out
+    def cumtrap_in_place(y: np.ndarray, pairs: np.ndarray) -> Callable[[], None]:
+        """The step that replaces y by cumtrap(grid, y) along its last axis,
+        holding y's neighbour sums in pairs."""
+        right, left = y[..., 1:], y[..., :-1]
 
-    u = nv.copy()
+        def step() -> None:
+            np.add(right, left, out=pairs)
+            np.multiply(half, pairs, out=pairs)
+            pairs.cumsum(axis=-1, out=right)
+            y[..., 0] = 0.0
+        return step
+
+    N = len(grid)
+    fgu = np.empty((2, N))  # f u and g u, then their integrals
+    fig = np.empty(N)  # f int_0^t g u, then its integral, then u's change
+    pairs = np.empty((2, N - 1))
+    integrate_fgu, integrate_fig = cumtrap_in_place(fgu, pairs), cumtrap_in_place(fig, pairs[0])
+    int_fu, int_gu = fgu
+    u, unew = nv.copy(), np.empty(N)
     for _ in range(max_sweeps):
-        int_fu, int_gu = cumulative(fg * u)
-        unew = nv + int_fu + cumulative(fv * int_gu)
-        for beta, a, b, d, s in windows:  # np.trapezoid(u[a:b], grid[a:b])
-            unew[s:] += beta * float((d * (u[a + 1:b] + u[a:b - 1]) / 2.0).sum())
+        np.multiply(fg, u, out=fgu)
+        integrate_fgu()
+        np.multiply(fv, int_gu, out=fig)
+        integrate_fig()
+        np.add(nv, int_fu, out=unew)
+        np.add(unew, fig, out=unew)
+        for beta, a, b, d, s, w in windows:  # np.trapezoid(u[a:b], grid[a:b])
+            np.add(u[a + 1:b], u[a:b - 1], out=w)
+            np.multiply(d, w, out=w)
+            np.divide(w, 2.0, out=w)
+            unew[s:] += beta * float(w.sum())
         # u is n or an earlier unew, so the gap is finite exactly when unew is
-        gap = float(abs(unew - u).max())
+        np.subtract(unew, u, out=fig)
+        gap = float(np.abs(fig, out=fig).max())
         if not math.isfinite(gap):
             raise DivergenceError("maximal-solution sweep overflowed")
-        u = unew
+        u, unew = unew, u
         if gap <= sweep_tol * (1.0 + float(u.max())):
             return u
     raise DivergenceError(f"no convergence within {max_sweeps} sweeps")

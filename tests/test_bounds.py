@@ -600,3 +600,26 @@ class TestInstanceValidation:
             for k in range(1, inst.num_impulses + 1):
                 lo, hi = inst.window(k)
                 assert lo <= hi
+
+    @pytest.mark.parametrize("data, message", [
+        (dict(beta=[math.nan]), "beta_k must be finite"),
+        (dict(beta=[math.inf]), "beta_k must be finite"),
+        (dict(horizon=math.inf), "horizon must be finite"),
+        (dict(horizon=math.nan), "horizon must be finite"),
+        (dict(impulse_times=[math.nan]), "impulse times"),
+        (dict(impulse_times=[0.5, math.nan], beta=[1.0, 1.0], theta=[0.0, 0.0], tau=[0.1, 0.1]),
+         "impulse times"),
+    ], ids=["beta-nan", "beta-inf", "horizon-inf", "horizon-nan", "time-nan", "second-time-nan"])
+    def test_non_finite_parameters_rejected(self, data, message):
+        base = dict(impulse_times=[1.0], beta=[1.0], theta=[0.0], tau=[0.5])
+        with pytest.raises(ValueError, match=message):
+            plain_instance(**{**base, **data})
+
+    @pytest.mark.parametrize("where", [1, -1], ids=["interior", "last"])
+    def test_oracle_grid_with_a_nan_node_rejected(self, where):
+        inst = plain_instance(f=lambda t: 1.0)
+        grid = build_oracle_grid(inst, 1e-2)
+        grid[where] = math.nan
+        with pytest.raises(ValueError, match="strictly increasing"):
+            maximal_solution(inst, grid)
+

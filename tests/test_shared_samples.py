@@ -1,0 +1,178 @@
+"""The oracle and the bound curve share one sampling of n, f and g per grid.
+
+A `PachpatteInstance` keeps the samples on the last grid it sampled, with its
+own copy of that grid. `maximal_solution` and `pachpatte_curve` must still
+give, bit for bit, what they gave when each sampled for itself: the sweep is
+checked against `reference_sweep` (scalar calls, `cumtrap` and `np.trapezoid`)
+and the curve against a copy of the path that sampled f and g again at the
+off-node times only. A grid edited in place, or another grid of the same
+length, is sampled afresh.
+"""
+
+import contextlib
+import io
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from impulsedde import (build_oracle_grid, cli, maximal_solution, pachpatte_bound,
+                        pachpatte_curve, random_instance)
+from impulsedde.bounds import _exp, _sample
+
+from test_bounds import reference_sweep, smooth_instance
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def sampled_F_at(inst, ts):
+    """`_F_at` with f and g sampled at the off-node times only."""
+    xs = inst.grid
+    _, gv, G, phi, F = inst._tables
+    i = np.maximum(xs.searchsorted(ts, side="right") - 1, 0)
+    out = F[i]
+    off = np.nonzero((xs[i] != ts) & (i != len(xs) - 1))[0]
+    if not off.size:
+        return out
+    t, i = ts[off], i[off]
+    G_t = G[i] + 0.5 * (t - xs[i]) * (gv[i] + _sample(inst.g, t))
+    out[off] = F[i] + 0.5 * (t - xs[i]) * (phi[i] + _sample(inst.f, t) * (1.0 + G_t))
+    return out
+
+
+def sampled_curve(inst, ts):
+    """`pachpatte_curve` sampling n on ts and f and g through `sampled_F_at`."""
+    ts = np.asarray(ts, dtype=float)
+    alpha = inst.impulse_times.searchsorted(ts, side="left")
+    F_alpha, prods = inst._alpha_tables
+    return _sample(inst.n, ts) * prods[alpha] * _exp(sampled_F_at(inst, ts) - F_alpha[alpha])
+
+
+class Counted:
+    def __init__(self, fn):
+        self.fn, self.calls, self.batched = fn, 0, getattr(fn, "batched", False)
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.fn(t)
+
+
+def counted(inst):
+    """inst with n, f and g wrapped in counters, marked as the originals are."""
+    return replace(inst, n=Counted(inst.n), f=Counted(inst.f), g=Counted(inst.g))
+
+
+def calls(inst):
+    return inst.n.calls, inst.f.calls, inst.g.calls
+
+
+def instances_by_impulse_count():
+    """Random instances with 0, 1, 2 and 3 impulses, three of each."""
+    rng = np.random.Generator(np.random.Philox(25))
+    found = {m: [] for m in range(4)}
+    while any(len(v) < 3 for v in found.values()):
+        inst = random_instance(rng, grid_points=513)
+        if len(found[inst.num_impulses]) < 3:
+            found[inst.num_impulses].append(inst)
+    return [(m, i, inst) for m, insts in found.items() for i, inst in enumerate(insts)]
+
+
+RANDOM = instances_by_impulse_count()
+UNMARKED = [
+    smooth_instance(impulse_times=[], beta=[], theta=[], tau=[]),
+    smooth_instance(impulse_times=[0.5, 1.1], beta=[1.3, 0.7], theta=[0.2, 0.1], tau=[0.2, 0.4]),
+    smooth_instance(impulse_times=[0.7, 1.5], beta=[0.9, 1.8], theta=[0.1, 0.3], tau=[0.5, 0.8]),
+]
+
+
+def check_campaign_path(inst, step, rng):
+    """The campaign's oracle and curve on one grid, then scalar bounds."""
+    grid = build_oracle_grid(inst, step)
+    assert bits(maximal_solution(inst, grid)) == bits(reference_sweep(inst, grid))
+    assert bits(pachpatte_curve(inst, grid)) == bits(sampled_curve(inst, grid))
+    for t in [*rng.uniform(0.0, inst.horizon, size=3), *grid[[1, len(grid) // 2, -1]]]:
+        assert bits(pachpatte_bound(inst, t).value) == bits(sampled_curve(inst, [t]))
+
+
+@pytest.mark.parametrize("m, i, inst", RANDOM, ids=[f"m{m}-{i}" for m, i, _ in RANDOM])
+def test_random_instances_keep_their_bits(m, i, inst):
+    assert inst.num_impulses == m
+    check_campaign_path(inst, 2e-3, np.random.default_rng(i))
+
+
+@pytest.mark.parametrize("inst", UNMARKED, ids=["none", "two", "at-horizon"])
+def test_unmarked_data_keep_their_bits(inst):
+    assert not any(getattr(fn, "batched", False) for fn in (inst.n, inst.f, inst.g))
+    check_campaign_path(inst, 5e-3, np.random.default_rng(3))
+
+
+def test_campaign_samples_each_function_twice_per_instance(monkeypatch):
+    made = []
+
+    def counted_instance(rng):
+        made.append(counted(random_instance(rng)))
+        return made[-1]
+
+    plain = io.StringIO()
+    with contextlib.redirect_stdout(plain):
+        assert cli.run(["inequality", "--samples", "6", "--seed", "4"]) == 0
+    monkeypatch.setattr(cli, "random_instance", counted_instance)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["inequality", "--samples", "6", "--seed", "4"]) == 0
+    assert out.getvalue() == plain.getvalue()
+    assert len(made) == 6
+    # once on the instance grid, once on the oracle grid
+    assert [calls(inst) for inst in made] == [(2, 2, 2)] * 6
+
+
+def test_unmarked_data_are_called_once_per_node_and_grid():
+    inst = counted(UNMARKED[1])
+    assert calls(inst) == (len(inst.grid),) * 3
+    grid = build_oracle_grid(inst, 5e-3)
+    assert oracle_and_curve(inst, grid)[2] == (len(grid),) * 3
+
+
+def nudged(inst, grid):
+    """grid with each node that is not 0, the horizon or a breakpoint moved a
+    quarter step right: the same length, still an oracle grid for inst."""
+    keep = [0.0, inst.horizon, *inst.impulse_times]
+    for k in range(1, inst.num_impulses + 1):
+        keep += inst.window(k)
+    move = np.flatnonzero(~np.isin(grid, keep))
+    out = grid.copy()
+    out[move] += 0.25 * (grid[move + 1] - grid[move])
+    return out
+
+
+def oracle_and_curve(inst, grid):
+    """maximal_solution and pachpatte_curve on grid, and the calls they made."""
+    before = calls(inst)
+    u, curve = maximal_solution(inst, grid), pachpatte_curve(inst, grid)
+    return u, curve, tuple(c - b for c, b in zip(calls(inst), before))
+
+
+@pytest.mark.parametrize("inst", [RANDOM[7][2], UNMARKED[1]], ids=["marked", "unmarked"])
+def test_grid_edited_in_place_is_sampled_again(inst):
+    inst = counted(inst)
+    grid = build_oracle_grid(inst, 5e-3)
+    oracle_and_curve(inst, grid)
+    grid[:] = nudged(inst, grid)
+    u, curve, made = oracle_and_curve(inst, grid)
+    assert made == (1 if inst.f.batched else len(grid),) * 3
+    assert bits(u) == bits(reference_sweep(inst, grid))
+    assert bits(curve) == bits(sampled_curve(inst, grid))
+
+
+def test_another_grid_of_the_same_length_is_sampled_again():
+    inst = counted(RANDOM[7][2])
+    a = build_oracle_grid(inst, 2e-3)
+    b = nudged(inst, a)
+    assert len(a) == len(b) and bits(a) != bits(b)
+    for grid in (a, b, a):
+        u, curve, made = oracle_and_curve(inst, grid)
+        assert made == (1, 1, 1)
+        assert bits(u) == bits(reference_sweep(inst, grid))
+        assert bits(curve) == bits(sampled_curve(inst, grid))
