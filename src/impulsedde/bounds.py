@@ -77,8 +77,9 @@ class PachpatteInstance:
     the instance grid at construction), and each window [t_k - tau_k, t_k - theta_k]
     must sit inside the preceding inter-impulse interval.
 
-    The instance keeps the samples of n, f and g on the last grid it sampled
-    (`_samples`), so the oracle and the bound curve on one grid sample them once.
+    The instance keeps the samples of n, f and g on the last grid that its own
+    tables or the oracle sampled (`_samples`), so the oracle and the bound curve
+    on one grid sample them once.
     """
 
     n: Callable
@@ -143,20 +144,27 @@ class PachpatteInstance:
 
     def _samples(self, xs: np.ndarray) -> tuple:
         """n at each node of the 1-D float grid xs, and f and g there as the two
-        rows of one array.
+        rows of one array, kept as the instance's record.
 
-        The last grid sampled is kept with its samples as one record: the
-        instance's own copy of that grid (the instance grid is kept as itself),
-        n, and the f and g rows. A grid with the same bits (0.0 is not -0.0)
-        reuses them; any other grid is sampled afresh and replaces the record."""
-        rec = self.__dict__.get("_record")
-        if rec is None or rec[0].shape != xs.shape or rec[0].tobytes() != xs.tobytes():
-            nv = _sample(self.n, xs)
-            fg = np.empty((2, len(xs)))
+        The record holds the instance's own copy of the last grid sampled here
+        (the instance grid is kept as itself), n, and the f and g rows. Only the
+        instance's tables and `maximal_solution` sample through here: a grid with
+        the recorded bits reuses the record, any other grid replaces it."""
+        rec = self._recorded(xs)
+        if rec is None:
+            nv, fg = _sample(self.n, xs), np.empty((2, len(xs)))
             fg[0], fg[1] = _sample(self.f, xs), _sample(self.g, xs)
-            rec = (xs if xs is self.grid else xs.copy(), nv, fg)
-            object.__setattr__(self, "_record", rec)
-        return rec[1:]
+            rec = nv, fg
+            object.__setattr__(self, "_record", (xs if xs is self.grid else xs.copy(), nv, fg))
+        return rec
+
+    def _recorded(self, xs: np.ndarray):
+        """The record's n and f, g rows when xs has the recorded grid's bits (0.0
+        is not -0.0), else None."""
+        rec = self.__dict__.get("_record")
+        if rec is not None and rec[0].shape == xs.shape and rec[0].tobytes() == xs.tobytes():
+            return rec[1:]
+        return None
 
     @cached_property
     def _tables(self):
@@ -172,10 +180,9 @@ class PachpatteInstance:
 
     def _F_at(self, ts: np.ndarray) -> np.ndarray:
         """int_0^t f[1 + int_0^s g] at each t: the table value on a grid node, else
-        the node's value plus one trapezoid, with f and g at t itself. These are
-        read from the samples on ts (`_samples`): none is taken when every t is a
-        node, and on the grid the oracle or the curve just sampled none is taken
-        afresh."""
+        the node's value plus one trapezoid, with f and g at t itself: none is
+        sampled when every t is a node, on the recorded grid they are read from
+        the record, and elsewhere they are sampled at the off-node t only."""
         xs = self.grid
         _, gv, G, phi, F = self._tables
         i = np.maximum(xs.searchsorted(ts, side="right") - 1, 0)
@@ -183,10 +190,10 @@ class PachpatteInstance:
         off = np.nonzero((xs[i] != ts) & (i != len(xs) - 1))[0]
         if not off.size:
             return out
-        f_ts, g_ts = self._samples(ts)[1]
-        t, i = ts[off], i[off]
-        G_t = G[i] + 0.5 * (t - xs[i]) * (gv[i] + g_ts[off])
-        out[off] = F[i] + 0.5 * (t - xs[i]) * (phi[i] + f_ts[off] * (1.0 + G_t))
+        t, i, rec = ts[off], i[off], self._recorded(ts)
+        f_t, g_t = (_sample(self.f, t), _sample(self.g, t)) if rec is None else rec[1][:, off]
+        G_t = G[i] + 0.5 * (t - xs[i]) * (gv[i] + g_t)
+        out[off] = F[i] + 0.5 * (t - xs[i]) * (phi[i] + f_t * (1.0 + G_t))
         return out
 
     @cached_property
@@ -250,9 +257,9 @@ def pachpatte_curve(inst: PachpatteInstance, ts) -> np.ndarray:
     at every t of the 1-D array ts, in any order.
 
     alpha resolves to the last impulse strictly before t; with no impulse before
-    t the exponential integrates from 0. n, f and g are read from the instance's
-    samples on ts, so a curve on the grid `maximal_solution` just swept samples
-    none of them again.
+    t the exponential integrates from 0. On the grid `maximal_solution` just
+    swept, n, f and g are read from the instance's record; elsewhere n is sampled
+    on ts and f and g at the t off the instance grid, and the record is kept.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
@@ -264,7 +271,9 @@ def pachpatte_curve(inst: PachpatteInstance, ts) -> np.ndarray:
     # resolved alpha must match the product's strict index set
     alpha = inst.impulse_times.searchsorted(ts, side="left")
     F_alpha, prods = inst._alpha_tables
-    return inst._samples(ts)[0] * prods[alpha] * _exp(inst._F_at(ts) - F_alpha[alpha])
+    rec = inst._recorded(ts)
+    nv = _sample(inst.n, ts) if rec is None else rec[0]
+    return nv * prods[alpha] * _exp(inst._F_at(ts) - F_alpha[alpha])
 
 
 def pachpatte_bound(inst: PachpatteInstance, t: float) -> BoundReport:

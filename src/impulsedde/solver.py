@@ -14,7 +14,7 @@ states of all its nodes through one `_Windows` view; a V or G marked
 `batched` is called once over all nodes, any other once per node
 (`node_rows`). The double Volterra integral is one O(N) cumulative sum for a
 U that ignores its outer time t and is accumulated column by column otherwise,
-in blocks of columns bounded in bytes, so no N x N matrix is ever materialized.
+each column added in place, so no N x N matrix is ever materialized.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""The Volterra sums of a U that depends on t, added in byte-bounded blocks of
-columns, give the bits and the U calls of the column-by-column loop they
-replaced (copied here as `loop_tri` and `loop_rect`)."""
+"""The Volterra sums of a U that depends on t give the bits and the U calls of
+the column-by-column loop (copied here as `loop_tri` and `loop_rect`), at the
+sizes of solves from h = 5e-3 down to h = 1e-3."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from impulsedde.model import as_state, t_rows
-from impulsedde.quadrature import _BLOCK_FLOATS, volterra_rect, volterra_tri
+from impulsedde.quadrature import volterra_rect, volterra_tri
 from test_batched import u_problem
 
 
@@ -107,9 +107,6 @@ def check(U, n, form, run, loop):
 @pytest.mark.parametrize("U, n, form", KERNELS)
 @pytest.mark.parametrize("T", [2, 3, 61, 403])
 def test_tri_blocks_equal_the_column_loop(U, n, form, T):
-    # at T = 403 the first block holds 9 columns (n = 1) or 4 (n = 2), and
-    # neither divides 403
-    assert T < 403 or 403 % ((_BLOCK_FLOATS // (403 * n) - 1) // 2) != 0
     rng = np.random.default_rng(T)
     nodes = impulse_nodes(rng, T, impulses=min(3, T - 2)) if T > 3 else np.sort(rng.random(T))
     segs = list(rng.uniform(-3.0, 3.0, (T, n)))
@@ -123,6 +120,24 @@ def test_long_tri_equals_the_column_loop():
     segs = list(rng.uniform(-1.0, 1.0, (2048, 1)))
     check(flat_U, 1, "broadcast", lambda p: volterra_tri(p, nodes, segs),
           lambda p: loop_tri(p, nodes, segs))
+
+
+def test_tri_at_the_size_of_a_1e_3_solve_equals_the_column_loop():
+    rng = np.random.default_rng(2003)
+    nodes = impulse_nodes(rng, 2003)
+    segs = list(rng.uniform(-3.0, 3.0, (2003, 2)))
+    check(rows_U, 2, "broadcast", lambda p: volterra_tri(p, nodes, segs),
+          lambda p: loop_tri(p, nodes, segs))
+
+
+def test_rect_at_the_size_of_a_1e_3_solve_equals_the_column_loop():
+    # the residual's rect sum at h = 1e-3: 1,001 outer times
+    rng = np.random.default_rng(1001)
+    sigma = impulse_nodes(rng, 211)
+    segs = list(rng.uniform(-3.0, 3.0, (len(sigma), 2)))
+    t_nodes = np.sort(rng.uniform(2.0, 3.0, 1001))
+    check(rows_U, 2, "broadcast", lambda p: volterra_rect(p, t_nodes, sigma, segs),
+          lambda p: loop_rect(p, t_nodes, sigma, segs))
 
 
 @pytest.mark.parametrize("U, n, form", KERNELS)

@@ -6,7 +6,9 @@ give, bit for bit, what they gave when each sampled for itself: the sweep is
 checked against `reference_sweep` (scalar calls, `cumtrap` and `np.trapezoid`)
 and the curve against a copy of the path that sampled f and g again at the
 off-node times only. A grid edited in place, or another grid of the same
-length, is sampled afresh.
+length, is sampled afresh. Only the oracle and the instance's own tables write
+the record: a curve or `_F_at` on another grid samples n on its t and f and g at
+its off-node t only, and leaves the record as it was.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import pytest
 
 from impulsedde import (build_oracle_grid, cli, maximal_solution, pachpatte_bound,
                         pachpatte_curve, random_instance)
-from impulsedde.bounds import _exp, _sample
+from impulsedde.bounds import _exp, _growth_tail, _sample
 
 from test_bounds import reference_sweep, smooth_instance
 
@@ -176,3 +178,32 @@ def test_another_grid_of_the_same_length_is_sampled_again():
         assert made == (1, 1, 1)
         assert bits(u) == bits(reference_sweep(inst, grid))
         assert bits(curve) == bits(sampled_curve(inst, grid))
+
+
+def made_by(inst, fn, *args):
+    """fn(*args) and the calls it made."""
+    before = calls(inst)
+    out = fn(*args)
+    return out, tuple(c - b for c, b in zip(calls(inst), before))
+
+
+def test_a_curve_off_the_record_keeps_it_and_samples_f_and_g_off_the_nodes_only():
+    inst = counted(replace(UNMARKED[1], grid_points=65))
+    grid = build_oracle_grid(inst, 2e-2)
+    maximal_solution(inst, grid)
+    nodes = inst.grid[1::3][:20]
+    mids = 0.5 * (inst.grid[:-1] + inst.grid[1:])[:20]
+    curve, made = made_by(inst, pachpatte_curve, inst, nodes)
+    assert made == (20, 0, 0)
+    assert bits(curve) == bits(sampled_curve(inst, nodes))
+    curve, made = made_by(inst, pachpatte_curve, inst, mids)
+    assert made == (20, 20, 20)
+    assert bits(curve) == bits(sampled_curve(inst, mids))
+    F, made = made_by(inst, inst._F_at, mids)
+    assert made == (0, 20, 20)
+    assert bits(F) == bits(sampled_F_at(inst, mids))
+    assert made_by(inst, _growth_tail, inst)[1] == (1, 0, 0)
+    # the oracle's record survives: its curve samples nothing
+    curve, made = made_by(inst, pachpatte_curve, inst, grid)
+    assert made == (0, 0, 0)
+    assert bits(curve) == bits(sampled_curve(inst, grid))
