@@ -306,10 +306,10 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
     n, f and g are read from the instance's samples on the grid (`_samples`), so
     a `pachpatte_curve` on the same grid samples none of them again. The sweep's
     invariants (the half steps, each window's node range and steps, the first
-    node past each t_k) and its buffers are made once; f u and g u are
-    integrated in one pass, and each sweep writes into the buffers in place,
-    two iterates swapping roles. Per element a sweep does `cumtrap`'s and
-    `np.trapezoid`'s arithmetic in their order, so it returns their bits.
+    node past each t_k) and the buffers of its cumulative sums are made once;
+    f u and g u are integrated in one pass, in place, two iterates swapping
+    roles. Per element a sweep does `cumtrap`'s and `np.trapezoid`'s arithmetic
+    in their order, so it returns their bits.
     """
     if not 0.0 < sweep_tol < math.inf or max_sweeps < 1:
         raise ValueError("sweep_tol must be finite and > 0, and max_sweeps >= 1")
@@ -327,7 +327,7 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
 
     steps = np.diff(grid)
     half = 0.5 * steps
-    # (beta_k, first window node, one past its last, its steps, first node > t_k, a buffer)
+    # (beta_k, first window node, one past its last, its steps, first node > t_k)
     windows = []
     for k in range(1, inst.num_impulses + 1):
         lo, hi = inst.window(k)
@@ -336,41 +336,31 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
         if hi > lo:
             a, b = locate(lo), locate(hi) + 1
             windows.append((float(inst.beta[k - 1]), a, b, steps[a:b - 1],
-                            int(grid.searchsorted(tk, side="right")), np.empty(b - 1 - a)))
+                            int(grid.searchsorted(tk, side="right"))))
     nv, fg = inst._samples(grid)
     fv = fg[0]
-
-    def cumtrap_in_place(y: np.ndarray, pairs: np.ndarray) -> Callable[[], None]:
-        """The step that replaces y by cumtrap(grid, y) along its last axis,
-        holding y's neighbour sums in pairs."""
-        right, left = y[..., 1:], y[..., :-1]
-
-        def step() -> None:
-            np.add(right, left, out=pairs)
-            np.multiply(half, pairs, out=pairs)
-            pairs.cumsum(axis=-1, out=right)
-            y[..., 0] = 0.0
-        return step
-
     N = len(grid)
     fgu = np.empty((2, N))  # f u and g u, then their integrals
     fig = np.empty(N)  # f int_0^t g u, then its integral, then u's change
     pairs = np.empty((2, N - 1))
-    integrate_fgu, integrate_fig = cumtrap_in_place(fgu, pairs), cumtrap_in_place(fig, pairs[0])
+
+    def integrate(y: np.ndarray, pairs: np.ndarray) -> None:  # y <- cumtrap(grid, y), by rows
+        np.add(y[..., 1:], y[..., :-1], out=pairs)
+        np.multiply(half, pairs, out=pairs)
+        pairs.cumsum(axis=-1, out=y[..., 1:])
+        y[..., 0] = 0.0
+
     int_fu, int_gu = fgu
     u, unew = nv.copy(), np.empty(N)
     for _ in range(max_sweeps):
         np.multiply(fg, u, out=fgu)
-        integrate_fgu()
+        integrate(fgu, pairs)
         np.multiply(fv, int_gu, out=fig)
-        integrate_fig()
+        integrate(fig, pairs[0])
         np.add(nv, int_fu, out=unew)
         np.add(unew, fig, out=unew)
-        for beta, a, b, d, s, w in windows:  # np.trapezoid(u[a:b], grid[a:b])
-            np.add(u[a + 1:b], u[a:b - 1], out=w)
-            np.multiply(d, w, out=w)
-            np.divide(w, 2.0, out=w)
-            unew[s:] += beta * float(w.sum())
+        for beta, a, b, d, s in windows:  # np.trapezoid(u[a:b], grid[a:b])
+            unew[s:] += beta * float((d * (u[a + 1:b] + u[a:b - 1]) / 2.0).sum())
         # u is n or an earlier unew, so the gap is finite exactly when unew is
         np.subtract(unew, u, out=fig)
         gap = float(np.abs(fig, out=fig).max())

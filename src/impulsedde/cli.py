@@ -268,7 +268,10 @@ def _perturbed_problem(kind: str, entry: CatalogEntry, cfg: RunConfig, problem, 
         rho = base.get("rho", entry.free_parameters["rho"].default)
         mu = base.get("mu", entry.free_parameters["mu"].default)
         base.update(rho=rho + args.rho_gap, mu=mu + args.mu_gap)
-        return entry.instantiate(**base)[0]
+        try:
+            return entry.instantiate(**base)[0]
+        except ValueError as exc:
+            raise ConfigError(f"--empirical: {exc}") from exc
     # function: constant shifts realize the sup deviations exactly
     n = problem.dimension
     V, hist = problem.V, problem.history
@@ -285,6 +288,8 @@ def _perturbed_problem(kind: str, entry: CatalogEntry, cfg: RunConfig, problem, 
 
 def _cmd_bound(cfg: RunConfig, args) -> int:
     entry, problem, lip = _resolve(cfg)
+    # built first: a gap outside the family's range is a config error before any output
+    problem_b = _perturbed_problem(args.kind, entry, cfg, problem, args) if args.empirical else None
     sg = operator_norm_bound(problem.generator, problem.horizon)
     try:
         if args.kind == "initial":
@@ -299,7 +304,6 @@ def _cmd_bound(cfg: RunConfig, args) -> int:
         raise ConfigError(f"bound not evaluable for {entry.name!r}: {exc}") from exc
     print(f"theoretical {args.kind} bound = {theoretical:.9g}")
     if args.empirical:
-        problem_b = _perturbed_problem(args.kind, entry, cfg, problem, args)
         report = check_dependence(args.kind, problem, problem_b, lip, sg,
                                   cfg.discretization, cfg.picard,
                                   rho_gap=args.rho_gap, mu_gap=args.mu_gap)

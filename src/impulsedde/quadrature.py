@@ -37,31 +37,18 @@ def cumtrap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def segment_grid(a: float, b: float, h: float, specials=()) -> np.ndarray:
-    """Nodes of [a, b] with spacing <= h; the special points are exact nodes.
-
-    The cuts a < s_1 < ... < b split [a, b] into pieces [p, q] of
-    k = max(1, ceil((q - p)/h - 1e-9)) steps each, built in one pass with
-    `np.linspace`'s arithmetic: node j of a piece is j * ((q - p) / k) + p and
-    its last node is q, so the grid has the bits of one
-    `np.linspace(p, q, k + 1)` per piece.
-    """
+    """Nodes of [a, b] with spacing <= h, one `np.linspace` per piece between the
+    special points, which are exact nodes."""
     cuts = [a]
     for s in sorted(set(float(x) for x in specials)):
         if a < s < b and s - cuts[-1] > 1e-14 * (1.0 + abs(b)):
             cuts.append(s)
     cuts.append(b)
-    k = np.array([max(1, math.ceil((q - p) / h - 1e-9)) for p, q in zip(cuts[:-1], cuts[1:])],
-                 dtype=float)
-    p, q = np.array(cuts[:-1]), np.array(cuts[1:])
-    last = k.cumsum()  # each piece's last node
-    out = np.empty(int(last[-1]) + 1)
-    out[0] = a
-    node = np.arange(1.0, len(out))
-    piece = last.searchsorted(node)
-    np.multiply(node - (last - k)[piece], ((q - p) / k)[piece], out=out[1:])  # j * step
-    out[1:] += p[piece]
-    out[last.astype(int)] = q
-    return out
+    parts = [np.array([a])]
+    for p, q in zip(cuts[:-1], cuts[1:]):
+        pieces = max(1, math.ceil((q - p) / h - 1e-9))
+        parts.append(np.linspace(p, q, pieces + 1)[1:])
+    return np.concatenate(parts)
 
 
 def window_nodes(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -220,8 +220,7 @@ class _Windows:
     its whole window and both sentinels.
 
     At theta <= -r every row reads its sentinel, so W(-r) is a copy of it
-    without a bracket search, and a theta the rows' scalar reads have kept is a
-    copy of that read.
+    without a bracket search.
     """
 
     def __init__(self, view: _StateView, times: np.ndarray, ends=None):
@@ -277,9 +276,6 @@ class _Windows:
             if np.ndim(theta) != 0:
                 raise TypeError("batched windows are read at one theta at a time")
             theta = float(theta)
-        kept = self._reads.get(theta)
-        if kept is not None:
-            return kept.copy()
         view, ts = self._view, self.times
         r = view.delay
         pad = _EDGE_TOL * (1.0 + r)

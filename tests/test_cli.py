@@ -295,6 +295,19 @@ class TestOtherCommands:
                     "--rho-gap", "0.1", "--empirical"])
         assert code == 2
 
+    @pytest.mark.parametrize("gap, message", [
+        (["--rho-gap", "0.7"], "parameter_family.rho=1.7 outside [0.5, 1.5]"),
+        (["--mu-gap", "0.6"], "parameter_family.mu=1.6 outside [0.5, 1.5]"),
+    ])
+    def test_bound_empirical_gap_outside_the_family_exit_two(self, tmp_path, capsys, gap, message):
+        # the perturbed problem is built before the theoretical bound is printed
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: {name: parameter_family}\ndiscretization: {step: 5.0e-3}\n")
+        assert run(["bound", "--config", str(path), "--kind", "parameter", "--empirical"] + gap) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and message in captured.err
+
     @pytest.mark.parametrize("problem, args", [
         ("paper_example", ["--kind", "initial", "--gap", "nan"]),
         ("paper_example", ["--kind", "initial", "--gap", "inf"]),

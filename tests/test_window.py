@@ -351,20 +351,11 @@ def test_read_at_minus_r_equals_the_bracket_search(data):
     assert got.reach == sentinel_reach(view, times)
 
 
-def test_a_kept_theta_is_a_fresh_copy_without_a_search(monkeypatch):
+def test_a_read_at_a_kept_theta_has_the_kept_bits_and_is_a_fresh_copy():
     windows = ramp()._view.windows(np.linspace(0.3, 1.9, 7))
     for row in windows:
         row(-0.3)  # the rows' scalar reads keep W(-0.3)
-    reach, searches = windows.reach, []
-    search = np.searchsorted
-
-    def counted(*args, **kwargs):
-        searches.append(args)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", counted)
     first, second = windows(-0.3), windows(np.float64(-0.3))
-    assert searches == [] and windows.reach == reach
     assert first.tobytes() == second.tobytes() == windows._reads[-0.3].tobytes()
     first[:] = 99.0
     assert windows(-0.3).tobytes() == second.tobytes()
