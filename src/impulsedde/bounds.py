@@ -76,10 +76,6 @@ class PachpatteInstance:
     finite, positive and nondecreasing, f and g finite and nonnegative (checked on
     the instance grid at construction), and each window [t_k - tau_k, t_k - theta_k]
     must sit inside the preceding inter-impulse interval.
-
-    The instance keeps the samples of n, f and g on the last grid that its own
-    tables or the oracle sampled (`_samples`), so the oracle and the bound curve
-    on one grid sample them once.
     """
 
     n: Callable
@@ -119,7 +115,7 @@ class PachpatteInstance:
             prev = tk[k]
         # sampled finiteness, sign and monotonicity checks; NaN fails every
         # comparison, so each one states what a valid sample passes
-        nv = self._samples(self.grid)[0]
+        nv = _sample(self.n, self.grid)
         if (not np.all((nv > 0.0) & (nv < math.inf))
                 or np.any(np.diff(nv) < -1e-12 * (1.0 + np.max(np.abs(nv))))):
             raise ValueError("n(t) must be finite, positive and nondecreasing on the grid")
@@ -142,34 +138,10 @@ class PachpatteInstance:
             pts.append(np.array([lo, hi, float(self.impulse_times[k - 1])]))
         return sorted_unique(np.concatenate(pts))
 
-    def _samples(self, xs: np.ndarray) -> tuple:
-        """n at each node of the 1-D float grid xs, and f and g there as the two
-        rows of one array, kept as the instance's record.
-
-        The record holds the instance's own copy of the last grid sampled here
-        (the instance grid is kept as itself), n, and the f and g rows. Only the
-        instance's tables and `maximal_solution` sample through here: a grid with
-        the recorded bits reuses the record, any other grid replaces it."""
-        rec = self._recorded(xs)
-        if rec is None:
-            nv, fg = _sample(self.n, xs), np.empty((2, len(xs)))
-            fg[0], fg[1] = _sample(self.f, xs), _sample(self.g, xs)
-            rec = nv, fg
-            object.__setattr__(self, "_record", (xs if xs is self.grid else xs.copy(), nv, fg))
-        return rec
-
-    def _recorded(self, xs: np.ndarray):
-        """The record's n and f, g rows when xs has the recorded grid's bits (0.0
-        is not -0.0), else None."""
-        rec = self.__dict__.get("_record")
-        if rec is not None and rec[0].shape == xs.shape and rec[0].tobytes() == xs.tobytes():
-            return rec[1:]
-        return None
-
     @cached_property
     def _tables(self):
         xs = self.grid
-        fv, gv = self._samples(xs)[1]
+        fv, gv = _sample(self.f, xs), _sample(self.g, xs)
         for name, vals in (("f", fv), ("g", gv)):
             if not np.all((vals >= 0.0) & (vals < math.inf)):
                 raise ValueError(f"{name}(t) must be finite and nonnegative on the grid")
@@ -180,9 +152,8 @@ class PachpatteInstance:
 
     def _F_at(self, ts: np.ndarray) -> np.ndarray:
         """int_0^t f[1 + int_0^s g] at each t: the table value on a grid node, else
-        the node's value plus one trapezoid, with f and g at t itself: none is
-        sampled when every t is a node, on the recorded grid they are read from
-        the record, and elsewhere they are sampled at the off-node t only."""
+        the node's value plus one trapezoid, with f and g sampled at the off-node
+        t only."""
         xs = self.grid
         _, gv, G, phi, F = self._tables
         i = np.maximum(xs.searchsorted(ts, side="right") - 1, 0)
@@ -190,10 +161,9 @@ class PachpatteInstance:
         off = np.nonzero((xs[i] != ts) & (i != len(xs) - 1))[0]
         if not off.size:
             return out
-        t, i, rec = ts[off], i[off], self._recorded(ts)
-        f_t, g_t = (_sample(self.f, t), _sample(self.g, t)) if rec is None else rec[1][:, off]
-        G_t = G[i] + 0.5 * (t - xs[i]) * (gv[i] + g_t)
-        out[off] = F[i] + 0.5 * (t - xs[i]) * (phi[i] + f_t * (1.0 + G_t))
+        t, i = ts[off], i[off]
+        G_t = G[i] + 0.5 * (t - xs[i]) * (gv[i] + _sample(self.g, t))
+        out[off] = F[i] + 0.5 * (t - xs[i]) * (phi[i] + _sample(self.f, t) * (1.0 + G_t))
         return out
 
     @cached_property
@@ -257,9 +227,8 @@ def pachpatte_curve(inst: PachpatteInstance, ts) -> np.ndarray:
     at every t of the 1-D array ts, in any order.
 
     alpha resolves to the last impulse strictly before t; with no impulse before
-    t the exponential integrates from 0. On the grid `maximal_solution` just
-    swept, n, f and g are read from the instance's record; elsewhere n is sampled
-    on ts and f and g at the t off the instance grid, and the record is kept.
+    t the exponential integrates from 0. n is sampled on ts, and f and g at the
+    t off the instance grid.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
@@ -271,9 +240,7 @@ def pachpatte_curve(inst: PachpatteInstance, ts) -> np.ndarray:
     # resolved alpha must match the product's strict index set
     alpha = inst.impulse_times.searchsorted(ts, side="left")
     F_alpha, prods = inst._alpha_tables
-    rec = inst._recorded(ts)
-    nv = _sample(inst.n, ts) if rec is None else rec[0]
-    return nv * prods[alpha] * _exp(inst._F_at(ts) - F_alpha[alpha])
+    return _sample(inst.n, ts) * prods[alpha] * _exp(inst._F_at(ts) - F_alpha[alpha])
 
 
 def pachpatte_bound(inst: PachpatteInstance, t: float) -> BoundReport:
@@ -303,13 +270,12 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
     least fixed point, which dominates every u satisfying the inequality on the
     same grid. Divergence (overflow or sweep-budget exhaustion) raises.
 
-    n, f and g are read from the instance's samples on the grid (`_samples`), so
-    a `pachpatte_curve` on the same grid samples none of them again. The sweep's
-    invariants (the half steps, each window's node range and steps, the first
-    node past each t_k) and the buffers of its cumulative sums are made once;
-    f u and g u are integrated in one pass, in place, two iterates swapping
-    roles. Per element a sweep does `cumtrap`'s and `np.trapezoid`'s arithmetic
-    in their order, so it returns their bits.
+    n, f and g are sampled once on the grid, f and g as the two rows of one
+    array. The sweep's invariants (the half steps, each window's node range and
+    steps, the first node past each t_k) and the buffers of its cumulative sums
+    are made once; f u and g u are integrated in one pass, in place, two
+    iterates swapping roles. Per element a sweep does `cumtrap`'s and
+    `np.trapezoid`'s arithmetic in their order, so it returns their bits.
     """
     if not 0.0 < sweep_tol < math.inf or max_sweeps < 1:
         raise ValueError("sweep_tol must be finite and > 0, and max_sweeps >= 1")
@@ -337,7 +303,7 @@ def maximal_solution(inst: PachpatteInstance, grid: np.ndarray,
             a, b = locate(lo), locate(hi) + 1
             windows.append((float(inst.beta[k - 1]), a, b, steps[a:b - 1],
                             int(grid.searchsorted(tk, side="right"))))
-    nv, fg = inst._samples(grid)
+    nv, fg = _sample(inst.n, grid), np.array([_sample(inst.f, grid), _sample(inst.g, grid)])
     fv = fg[0]
     N = len(grid)
     fgu = np.empty((2, N))  # f u and g u, then their integrals

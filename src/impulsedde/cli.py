@@ -288,9 +288,9 @@ def _perturbed_problem(kind: str, entry: CatalogEntry, cfg: RunConfig, problem, 
 
 def _cmd_bound(cfg: RunConfig, args) -> int:
     entry, problem, lip = _resolve(cfg)
-    # built first: a gap outside the family's range is a config error before any output
-    problem_b = _perturbed_problem(args.kind, entry, cfg, problem, args) if args.empirical else None
     sg = operator_norm_bound(problem.generator, problem.horizon)
+    # the bound first, as it checks the gaps, then the perturbed problem: a bad
+    # gap or one outside the family's range is a config error before any output
     try:
         if args.kind == "initial":
             theoretical = dependence_initial_bound(problem, lip, sg, args.gap)
@@ -302,6 +302,7 @@ def _cmd_bound(cfg: RunConfig, args) -> int:
             theoretical = dependence_function_bound(problem, lip, sg)
     except ValueError as exc:
         raise ConfigError(f"bound not evaluable for {entry.name!r}: {exc}") from exc
+    problem_b = _perturbed_problem(args.kind, entry, cfg, problem, args) if args.empirical else None
     print(f"theoretical {args.kind} bound = {theoretical:.9g}")
     if args.empirical:
         report = check_dependence(args.kind, problem, problem_b, lip, sg,

@@ -284,7 +284,8 @@ def mild_residual(problem: ImpulsiveProblem, traj: PiecewiseTrajectory) -> float
     """Sup defect of w(t) against the mild formula at the native nodes.
 
     All integrals are recomputed on the trajectory's own nodes plus their
-    midpoints; right limits at impulse times are checked via eval_right.
+    midpoints; each jump enters as a kick at the post-jump copy of its t_k, so
+    the right limit there is checked as a stored node.
     """
     n = problem.dimension
     if not traj.complete:

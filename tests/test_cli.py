@@ -313,6 +313,10 @@ class TestOtherCommands:
         ("paper_example", ["--kind", "initial", "--gap", "inf"]),
         ("parameter_family", ["--kind", "parameter", "--rho-gap", "nan"]),
         ("paper_example", ["--kind", "function", "--p-gap", "nan"]),
+        # the gap is checked before the perturbed problem is built, so it is
+        # reported rather than the family's range
+        ("parameter_family", ["--kind", "parameter", "--rho-gap", "nan", "--empirical"]),
+        ("parameter_family", ["--kind", "parameter", "--mu-gap", "inf", "--empirical"]),
     ])
     def test_bound_non_finite_gap_exit_two(self, tmp_path, capsys, problem, args):
         path = tmp_path / "c.yaml"
@@ -321,6 +325,9 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert "bound not evaluable" in captured.err
         assert "theoretical" not in captured.out
+        if "--empirical" in args:
+            assert "parameter gaps must be finite" in captured.err
+            assert "outside" not in captured.err
 
     def test_inequality_campaign(self, tmp_path, capsys):
         out = tmp_path / "campaign.csv"

@@ -1,19 +1,17 @@
-"""The oracle and the bound curve share one sampling of n, f and g per grid.
+"""The oracle and the bound curve each sample n, f and g on their own grid.
 
-A `PachpatteInstance` keeps the samples on the last grid it sampled, with its
-own copy of that grid. `maximal_solution` and `pachpatte_curve` must still
-give, bit for bit, what they gave when each sampled for itself: the sweep is
-checked against `reference_sweep` (scalar calls, `cumtrap` and `np.trapezoid`)
-and the curve against a copy of the path that sampled f and g again at the
-off-node times only. A grid edited in place, or another grid of the same
-length, is sampled afresh. Only the oracle and the instance's own tables write
-the record: a curve or `_F_at` on another grid samples n on its t and f and g at
-its off-node t only, and leaves the record as it was.
+A `PachpatteInstance` samples n, f and g once on its own grid, for its checks
+and tables. `maximal_solution` samples each function once per call on its
+grid, and `pachpatte_curve` samples n on its t and f and g at its t off the
+instance grid only. Their bits are checked on the campaign's path, on a grid
+edited in place and on another grid of the same length: the sweep against
+`reference_sweep` (scalar calls, `cumtrap` and `np.trapezoid`) and the curve
+against a copy of the path that samples f and g at the off-node times only.
 """
 
 import contextlib
 import io
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -70,6 +68,21 @@ def calls(inst):
     return inst.n.calls, inst.f.calls, inst.g.calls
 
 
+def made_by(inst, fn, *args):
+    """fn(*args) and the calls it made."""
+    before = calls(inst)
+    out = fn(*args)
+    return out, tuple(c - b for c, b in zip(calls(inst), before))
+
+
+def curve_calls(inst, ts):
+    """The calls a curve on ts makes: n on ts, f and g at the t off the
+    instance grid, in one call each when marked `batched`."""
+    off = int(np.count_nonzero(~np.isin(ts, inst.grid)))
+    per = (lambda k: int(k > 0)) if inst.f.batched else (lambda k: k)
+    return per(len(ts)), per(off), per(off)
+
+
 def instances_by_impulse_count():
     """Random instances with 0, 1, 2 and 3 impulses, three of each."""
     rng = np.random.Generator(np.random.Philox(25))
@@ -110,7 +123,7 @@ def test_unmarked_data_keep_their_bits(inst):
     check_campaign_path(inst, 5e-3, np.random.default_rng(3))
 
 
-def test_campaign_samples_each_function_twice_per_instance(monkeypatch):
+def test_campaign_samples_each_function_three_times_per_instance(monkeypatch):
     made = []
 
     def counted_instance(rng):
@@ -126,15 +139,19 @@ def test_campaign_samples_each_function_twice_per_instance(monkeypatch):
         assert cli.run(["inequality", "--samples", "6", "--seed", "4"]) == 0
     assert out.getvalue() == plain.getvalue()
     assert len(made) == 6
-    # once on the instance grid, once on the oracle grid
-    assert [calls(inst) for inst in made] == [(2, 2, 2)] * 6
+    # on the instance grid, by the oracle on its grid, and by the curve on the
+    # oracle grid (f and g at its t off the instance grid)
+    assert [calls(inst) for inst in made] == [(3, 3, 3)] * 6
 
 
 def test_unmarked_data_are_called_once_per_node_and_grid():
     inst = counted(UNMARKED[1])
     assert calls(inst) == (len(inst.grid),) * 3
     grid = build_oracle_grid(inst, 5e-3)
-    assert oracle_and_curve(inst, grid)[2] == (len(grid),) * 3
+    _, _, by_oracle, by_curve = oracle_and_curve(inst, grid)
+    assert by_oracle == (len(grid),) * 3
+    assert by_curve == curve_calls(inst, grid)
+    assert 0 < by_curve[1] < len(grid)
 
 
 def nudged(inst, grid):
@@ -150,10 +167,10 @@ def nudged(inst, grid):
 
 
 def oracle_and_curve(inst, grid):
-    """maximal_solution and pachpatte_curve on grid, and the calls they made."""
-    before = calls(inst)
-    u, curve = maximal_solution(inst, grid), pachpatte_curve(inst, grid)
-    return u, curve, tuple(c - b for c, b in zip(calls(inst), before))
+    """maximal_solution and pachpatte_curve on grid, and the calls each made."""
+    u, by_oracle = made_by(inst, maximal_solution, inst, grid)
+    curve, by_curve = made_by(inst, pachpatte_curve, inst, grid)
+    return u, curve, by_oracle, by_curve
 
 
 @pytest.mark.parametrize("inst", [RANDOM[7][2], UNMARKED[1]], ids=["marked", "unmarked"])
@@ -162,8 +179,9 @@ def test_grid_edited_in_place_is_sampled_again(inst):
     grid = build_oracle_grid(inst, 5e-3)
     oracle_and_curve(inst, grid)
     grid[:] = nudged(inst, grid)
-    u, curve, made = oracle_and_curve(inst, grid)
-    assert made == (1 if inst.f.batched else len(grid),) * 3
+    u, curve, by_oracle, by_curve = oracle_and_curve(inst, grid)
+    assert by_oracle == (1 if inst.f.batched else len(grid),) * 3
+    assert by_curve == curve_calls(inst, grid)
     assert bits(u) == bits(reference_sweep(inst, grid))
     assert bits(curve) == bits(sampled_curve(inst, grid))
 
@@ -174,20 +192,13 @@ def test_another_grid_of_the_same_length_is_sampled_again():
     b = nudged(inst, a)
     assert len(a) == len(b) and bits(a) != bits(b)
     for grid in (a, b, a):
-        u, curve, made = oracle_and_curve(inst, grid)
-        assert made == (1, 1, 1)
+        u, curve, by_oracle, by_curve = oracle_and_curve(inst, grid)
+        assert by_oracle == by_curve == (1, 1, 1)
         assert bits(u) == bits(reference_sweep(inst, grid))
         assert bits(curve) == bits(sampled_curve(inst, grid))
 
 
-def made_by(inst, fn, *args):
-    """fn(*args) and the calls it made."""
-    before = calls(inst)
-    out = fn(*args)
-    return out, tuple(c - b for c, b in zip(calls(inst), before))
-
-
-def test_a_curve_off_the_record_keeps_it_and_samples_f_and_g_off_the_nodes_only():
+def test_a_curve_samples_n_on_its_t_and_f_and_g_off_the_nodes_only():
     inst = counted(replace(UNMARKED[1], grid_points=65))
     grid = build_oracle_grid(inst, 2e-2)
     maximal_solution(inst, grid)
@@ -203,7 +214,17 @@ def test_a_curve_off_the_record_keeps_it_and_samples_f_and_g_off_the_nodes_only(
     assert made == (0, 20, 20)
     assert bits(F) == bits(sampled_F_at(inst, mids))
     assert made_by(inst, _growth_tail, inst)[1] == (1, 0, 0)
-    # the oracle's record survives: its curve samples nothing
+    # on the oracle's grid too, after the oracle has sampled it
     curve, made = made_by(inst, pachpatte_curve, inst, grid)
-    assert made == (0, 0, 0)
+    assert made == curve_calls(inst, grid)
+    assert 0 < made[1] < len(grid)
     assert bits(curve) == bits(sampled_curve(inst, grid))
+
+
+def test_an_instance_keeps_only_its_fields_and_tables():
+    inst = RANDOM[7][2]
+    grid = build_oracle_grid(inst, 5e-3)
+    maximal_solution(inst, grid)
+    pachpatte_curve(inst, grid)
+    tables = {"grid", "_tables", "_alpha_tables", "Ck_values"}
+    assert set(vars(inst)) == {f.name for f in fields(inst)} | tables
