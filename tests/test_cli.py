@@ -354,6 +354,15 @@ class TestOtherCommands:
         assert captured.err == "solver failure: maximal-solution sweep overflowed\n"
         assert "max violation" not in captured.out
 
+    def test_inequality_campaign_squares_without_pow(self, capsys, monkeypatch):
+        # random instances square sin by one multiplication, never through libm pow
+        def no_pow(*args, **kwargs):
+            raise AssertionError("np.float_power called")
+
+        monkeypatch.setattr(np, "float_power", no_pow)
+        assert run(["inequality", "--samples", "3", "--seed", "0"]) == 0
+        assert "max violation over 3 instances" in capsys.readouterr().out
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_inequality_without_samples_is_usage_error(self, samples, capsys):
         assert run(["inequality", "--samples", samples]) == 2
