@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .model import ImpulsiveProblem, LipschitzData, batched, node_rows
-from .quadrature import cumtrap, segment_grid, volterra_tri, window_jump, window_nodes
+from .quadrature import cumtrap, segment_grid, volterra_tri, window_jump
 from .semigroup import SemigroupBound
 from .solver import Discretization, PicardControl, solve_mild
 from .trajectory import _StateView, require_comparable, sigma_diff, sorted_unique
@@ -217,14 +217,16 @@ def compute_Ck(inst: PachpatteInstance, k: int) -> float:
         raise IndexError(f"impulse index {k} out of range 1..{inst.num_impulses}")
     t_prev = 0.0 if k == 1 else float(inst.impulse_times[k - 2])
     t_k = float(inst.impulse_times[k - 1])
-    F_prev, F_k = inst._F_at(np.array([t_prev, t_k]))
-    term1 = math.exp(F_k - F_prev)
     lo, hi = inst.window(k)
+    # all four are grid nodes, where `_F_at` returns the F table's value exactly
+    i_prev, i_k, a, b = inst.grid.searchsorted((t_prev, t_k, lo, hi))
+    F = inst._tables[4]
+    F_prev = F[i_prev]
+    term1 = math.exp(F[i_k] - F_prev)
     if hi <= lo:
         return term1
-    times = window_nodes(inst.grid, lo, hi)
-    vals = _exp(inst._F_at(times) - F_prev)
-    return term1 + float(inst.beta[k - 1]) * float(np.trapezoid(vals, times))
+    vals = _exp(F[a:b + 1] - F_prev)
+    return term1 + float(inst.beta[k - 1]) * float(np.trapezoid(vals, inst.grid[a:b + 1]))
 
 
 def pachpatte_curve(inst: PachpatteInstance, ts) -> np.ndarray:

@@ -280,6 +280,17 @@ def smooth_instance(**kw):
     return PachpatteInstance(**base)
 
 
+EDGE_WINDOWS = [
+    # a zero-width window (theta = tau) beside an ordinary one
+    dict(impulse_times=[0.5, 1.1], beta=[1.3, 0.7], theta=[0.2, 0.1], tau=[0.2, 0.4]),
+    # the first window starts at 0
+    dict(impulse_times=[0.6], beta=[1.5], theta=[0.25], tau=[0.6]),
+    # the last impulse sits on the horizon, so no node lies past it
+    dict(impulse_times=[0.7, 1.5], beta=[0.9, 1.8], theta=[0.1, 0.3], tau=[0.5, 0.8]),
+]
+EDGE_IDS = ["zero-width", "from-zero", "at-horizon"]
+
+
 class TestKeepsTheBits:
     """The sweep, the curve and C_k match the straightforward forms byte for byte."""
 
@@ -294,18 +305,30 @@ class TestKeepsTheBits:
             grid = build_oracle_grid(inst, 2e-3)
             self.assert_same_bits(maximal_solution(inst, grid), reference_sweep(inst, grid))
 
-    @pytest.mark.parametrize("impulses", [
-        # a zero-width window (theta = tau) beside an ordinary one
-        dict(impulse_times=[0.5, 1.1], beta=[1.3, 0.7], theta=[0.2, 0.1], tau=[0.2, 0.4]),
-        # the first window starts at 0
-        dict(impulse_times=[0.6], beta=[1.5], theta=[0.25], tau=[0.6]),
-        # the last impulse sits on the horizon, so no node lies past it
-        dict(impulse_times=[0.7, 1.5], beta=[0.9, 1.8], theta=[0.1, 0.3], tau=[0.5, 0.8]),
-    ], ids=["zero-width", "from-zero", "at-horizon"])
+    @pytest.mark.parametrize("impulses", EDGE_WINDOWS, ids=EDGE_IDS)
     def test_sweep_edge_windows(self, impulses):
         inst = smooth_instance(**impulses)
         grid = build_oracle_grid(inst, 5e-3)
         self.assert_same_bits(maximal_solution(inst, grid), reference_sweep(inst, grid))
+
+    @pytest.mark.parametrize("impulses", [
+        *EDGE_WINDOWS,
+        # the window ends at t_k (theta_k = 0)
+        dict(impulse_times=[0.5, 1.2], beta=[1.1, 0.6], theta=[0.0, 0.0], tau=[0.3, 0.4]),
+        # the window starts at t_(k-1) (tau_k = t_k - t_(k-1))
+        dict(impulse_times=[0.5, 1.25], beta=[0.8, 1.4], theta=[0.1, 0.2], tau=[0.5, 0.75]),
+        # 16 uniform nodes: every window end is a node the grid inserts
+        dict(impulse_times=[0.37, 0.91], beta=[1.2, 0.9], theta=[0.03, 0.12], tau=[0.29, 0.47],
+             grid_points=16),
+    ], ids=[*EDGE_IDS, "ends-at-tk", "starts-at-prev", "inserted-ends"])
+    def test_Ck_edge_windows(self, impulses):
+        inst = smooth_instance(**impulses)
+        for k in range(1, inst.num_impulses + 1):
+            t_prev = 0.0 if k == 1 else float(inst.impulse_times[k - 2])
+            # compute_Ck reads F at these four points as table entries
+            assert np.isin([t_prev, float(inst.impulse_times[k - 1]), *inst.window(k)],
+                           inst.grid).all()
+            self.assert_same_bits(compute_Ck(inst, k), reference_Ck(inst, k))
 
     def test_curve_and_Ck(self):
         rng = np.random.Generator(np.random.Philox(11))

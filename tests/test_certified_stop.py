@@ -149,3 +149,39 @@ def test_a_certificate_never_passes_the_iteration_cap(name):
     # one sweep is certified on both, but the cap allows no confirming sweep
     with pytest.raises(ConvergenceError, match="no convergence after 1 iterations"):
         solve_mild(PROBLEMS[name][0], DISC, PicardControl(max_iterations=1))
+
+
+def test_a_gap_that_stalls_below_the_tolerance_stops_the_segment():
+    # V reads its own row w_t(0), so no stop is certified, and adds 4e-12 on every
+    # other sweep: the gap settles near 3e-12, below the tolerance but above the
+    # floor rule, and the stall rule ends the segment
+    def alternating_V():
+        sweeps = [0]
+
+        def V(t, w_t, z):
+            if t == 0.0:  # the first node of each sweep
+                sweeps[0] += 1
+            return 0.5 * w_t(0.0) + 1.0 + (4e-12 if sweeps[0] % 2 else 0.0)
+        return V
+
+    disc = Discretization(step=0.05)
+    problem = scalar_problem(alternating_V())
+    hist_t = segment_grid(-problem.delay, 0.0, disc.step)
+    prefix = PiecewiseTrajectory(1, problem.delay, problem.horizon, problem.impulse_times,
+                                 ((hist_t, problem.history_values(hist_t)),))
+    times, values, sweeps = solve_segment(problem, prefix, 0, disc, CTRL)
+
+    w_plus, sweep = segment_sweep(scalar_problem(alternating_V()), prefix, 0, times)
+    iterate = np.broadcast_to(w_plus, (len(times), 1)).copy()
+    gaps = []
+    for _ in range(sweeps):
+        new = sweep(iterate)
+        gaps.append(float(np.max(np.abs(new - iterate))))
+        iterate = new
+    assert iterate.tobytes() == values.tobytes()
+    floor = max(1e-3 * CTRL.tolerance, 1e-13 * (1.0 + float(np.max(np.abs(values)))))
+    assert sweeps == 14 and sweeps < CTRL.max_iterations // 10
+    # the last two gaps sit below the tolerance, above the floor, and within 0.7 of
+    # the best gap before them
+    best = min(gaps[:-2])
+    assert all(floor < g <= CTRL.tolerance and g > 0.7 * best for g in gaps[-2:])

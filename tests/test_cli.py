@@ -288,6 +288,18 @@ class TestOtherCommands:
         assert code == 0
         assert "DOMINATED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("empirical", [False, True], ids=["theoretical", "empirical"])
+    @pytest.mark.parametrize("problem", ["windowed_impulse", "parameter_family"])
+    def test_bound_function(self, tmp_path, capsys, problem, empirical):
+        path = tmp_path / "c.yaml"
+        path.write_text(f"problem: {{name: {problem}}}\ndiscretization: {{step: 5.0e-3}}\n")
+        args = ["bound", "--config", str(path), "--kind", "function",
+                "--p-gap", "0.02", "--j-gap", "0.01", "--n-gap", "0.005"]
+        assert run(args + ["--empirical"] * empirical) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("theoretical function bound = ")
+        assert ("-> DOMINATED" in out) == empirical
+
     def test_bound_parameter_requires_family(self, tmp_path, capsys):
         path = tmp_path / "c.yaml"
         path.write_text("problem: {name: method_of_steps}\n")
@@ -338,6 +350,14 @@ class TestOtherCommands:
         assert lines[1] == "# seed=11"
         assert lines[3] == "instance_id,t_max_violation,max_violation,num_impulses,bound_at_horizon"
         assert len(lines) == 7
+
+    def test_inequality_takes_seed_and_step_from_the_config(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_text("seed: 5\nproblem: {name: paper_example}\ndiscretization: {step: 2.0e-3}\n")
+        out = tmp_path / "campaign.csv"
+        assert run(["inequality", "--config", str(path), "--samples", "2", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:3] == ["# seed=5", "# step=0.002"]
+        assert "(tolerance 4.001e-05)" in capsys.readouterr().out
 
     def test_inequality_unwritable_out_exit_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "b.csv"

@@ -185,6 +185,29 @@ class TestValidate:
         expected = {HistorySegment, _Windows} if mark else {HistorySegment}
         assert seen == {"V": expected, "U": expected, "G": expected}
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(dimension=0), "dimension must be a positive integer"),
+        (dict(generator=np.zeros((2, 2))), "generator must be 1x1, got (2, 2)"),
+        (dict(generator=[[np.nan]]), "generator has non-finite entries"),
+        (dict(delay=0.0), "delay must be > 0"),
+        (dict(horizon=-1.0), "horizon must be > 0"),
+        (dict(theta_offsets=[0.1, 0.1]), "theta_offsets has length 2, expected 1"),
+        (dict(tau_offsets=[]), "tau_offsets has length 0, expected 1"),
+    ], ids=["dimension-0", "generator-shape", "generator-nan", "delay", "horizon",
+            "theta-length", "tau-length"])
+    def test_structural_messages(self, catalog, change, message):
+        p = replace(catalog["paper_example"].problem, **change)
+        assert message in validate(p)
+
+    def test_jump_map_raising_on_zero_state(self, catalog):
+        def jump(x):
+            if not np.any(x):
+                raise ZeroDivisionError("no jump from the zero state")
+            return x
+
+        p = replace(catalog["paper_example"].problem, jump_maps=(jump,))
+        assert validate(p) == ["I_1 probe failed: no jump from the zero state"]
+
     def test_mismatched_jump_list(self, catalog):
         p = replace(catalog["paper_example"].problem, jump_maps=())
         assert any("jump_maps" in msg for msg in validate(p))

@@ -183,6 +183,17 @@ class TestJumpValue:
         )
         assert jump_value(problem, flat_trajectory(impulse_times=(0.9,)), 1)[0] == 0.0
 
+    def test_window_from_the_previous_impulse_reads_its_right_limit(self):
+        # w = 1 up to 0.5, then w(0.5^+) = 1 + 0.2 = 1.2 up to 1.0; the second window
+        # [0.5, 0.9] starts at the first impulse, where G = w_s(0) is read as
+        # w(0.5^+): 0.4 * 1.2 = 0.48 (the left limit there would give 0.479)
+        problem = replace(constant_problem(G=lambda s, w_s: w_s(0.0)),
+                          jump_maps=(lambda x: x, lambda x: x), impulse_times=[0.5, 1.0],
+                          theta_offsets=[0.1, 0.1], tau_offsets=[0.3, 0.5])
+        _, report = solve_mild(problem, Discretization(step=0.01))
+        assert report.jumps[0][0] == pytest.approx(0.2, abs=1e-12)
+        assert report.jumps[1][0] == pytest.approx(0.48, abs=1e-12)
+
     @pytest.mark.parametrize("impulses", [True, False], ids=["one-impulse", "no-impulse"])
     @pytest.mark.parametrize("past", [False, True], ids=["k=0", "k=m+1"])
     def test_index_out_of_range_names_the_range(self, impulses, past):
